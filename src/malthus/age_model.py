@@ -29,7 +29,6 @@ from .numerics import (
     Tolerance,
     find_root_decreasing,
     integrate,
-    semi_infinite_cutoff,
 )
 
 __all__ = [
@@ -274,6 +273,7 @@ class Dirac:
         raise ValueError("Dirac law has no density")
 
     def contract(self, alpha: float) -> "Dirac":
+        _check_alpha(alpha)
         return self
 
 
@@ -476,7 +476,7 @@ class AlphaFamily:
     alpha: float
 
     def __post_init__(self):
-        if getattr(self.baseline, "is_degenerate", False):
+        if self.baseline.is_degenerate:
             raise ValueError("baseline must be non-degenerate")
         a = float(self.alpha)
         if not (0.0 < a <= 1.0):
@@ -779,9 +779,10 @@ def dlambda_dalpha(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> fl
 def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
     """Second derivative of alpha -> lambda at alpha = 0 (the first vanishes).
 
-    Equals sigma^2 times a ratio of exponential moments of the division-age
-    law at the reference exponent; for B constant this collapses to
-    -sigma^2 * b * v_bar.
+    Equals sigma^2 / v_bar^2 times a ratio of exponential moments of the
+    division-age law at the reference exponent (the 1/v_bar^2 comes from
+    d^2/dv^2 exp(-lambda a / v) at v = v_bar); for B constant this collapses
+    to -sigma^2 * b / v_bar.
     """
     var = float(baseline.variance)
     if var == 0.0:
@@ -798,7 +799,7 @@ def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
         a = np.asarray(a, dtype=float)
         return (s * a) * (s * a - 2.0) * np.exp(-s * a)
 
-    return var * _fb_integral(B, ker_num) / _fb_integral(B, ker_den)
+    return var * _fb_integral(B, ker_num) / _fb_integral(B, ker_den) / (m * m)
 
 
 def sign_condition(B, samples: int = 4096) -> str:
@@ -837,7 +838,7 @@ def cv_curve(B, baseline, alphas: Sequence[float], tol: Tolerance = DEFAULT_ROOT
     Includes the CV = 0 anchor (the reference exponent at the baseline
     mean).  Solver failures are recorded per row instead of raised.
     """
-    if getattr(baseline, "is_degenerate", False):
+    if baseline.is_degenerate:
         raise ValueError("baseline must be non-degenerate")
     rows = [CurveRow(0.0, 0.0, malthus_reference(B, baseline.mean, tol))]
     for alpha in alphas:

@@ -94,17 +94,22 @@ def _write_manifest(out_path: str, command: str, config_text: str, seed: int, st
 # ---------------------------------------------------------------------------
 
 
-def _parse_baseline_flag(text: str, vbar: float, sigma_eta: float):
-    """--baseline gauss | twopoint(v1,v2); gauss is centered at vbar with a
-    symmetric window of half-width vbar (the support must stay in [0, inf))."""
-    s = text.strip().lower()
+def _parse_baseline_flag(args):
+    """--baseline gauss | twopoint(v1,v2), rewritten into the config grammar.
+
+    gauss is centered at --vbar with a symmetric window of half-width vbar
+    (the support must stay in [0, inf)); --vmin/--vmax override its ends.
+    """
+    s = args.baseline.strip().lower()
     if s == "gauss":
-        return TruncatedGaussian(0.0, 2.0 * vbar, sigma_eta)
+        vmin = 0.0 if args.vmin is None else args.vmin
+        vmax = 2.0 * args.vbar if args.vmax is None else args.vmax
+        return _parse_law(f"gauss:{vmin!r},{vmax!r},{args.sigma_eta!r}")
+    if args.vmin is not None or args.vmax is not None:
+        raise ConfigError("--vmin/--vmax apply to the gauss baseline")
     if s.startswith("twopoint(") and s.endswith(")"):
-        inner = s[len("twopoint(") : -1]
-        v1, v2 = (float(t) for t in inner.split(","))
-        return DiscreteMixture([(v1, 0.5), (v2, 0.5)])
-    raise ConfigError(f"unknown baseline {text!r} (expected gauss or twopoint(v1,v2))")
+        return _parse_law("twopoint:" + s[len("twopoint(") : -1])
+    raise ConfigError(f"unknown baseline {args.baseline!r} (expected gauss or twopoint(v1,v2))")
 
 
 def _parse_law(text: str):
@@ -171,27 +176,29 @@ def _read_config(path: Optional[str], sets: Sequence[str]) -> dict:
     return items
 
 
-def _float_of(items: dict, key: str) -> float:
+def _number_of(items: dict, key: str, kind=float):
     try:
-        return float(items[key])
+        return kind(items[key])
     except (KeyError, ValueError) as e:
         raise ConfigError(f"bad numeric config value for {key!r}") from e
 
 
-def _sim_config(items: dict, alpha: float, horizon: float) -> SimConfig:
+def _sim_config(items: dict, horizon: float, alpha: Optional[float] = None) -> SimConfig:
+    """The configured experiment up to ``horizon``; its kernel law is the
+    baseline contracted by ``alpha``, or the baseline itself for None."""
     try:
-        return _sim_config_inner(items, alpha, horizon)
+        return _sim_config_inner(items, horizon, alpha)
     except ConfigError:
         raise
     except ValueError as e:  # component constructors validate their own fields
         raise ConfigError(str(e)) from e
 
 
-def _sim_config_inner(items: dict, alpha: float, horizon: float) -> SimConfig:
+def _sim_config_inner(items: dict, horizon: float, alpha: Optional[float]) -> SimConfig:
     mode = items["division.mode"]
     if mode not in ("unit_size", "unit_time"):
         raise ConfigError(f"division.mode must be unit_size or unit_time, got {mode!r}")
-    division = SizeDivisionRate(_float_of(items, "division.x0"), _float_of(items, "division.beta"), mode)
+    division = SizeDivisionRate(_number_of(items, "division.x0"), _number_of(items, "division.beta"), mode)
 
     growth_key = items["growth"]
     if growth_key == "exp":
@@ -209,13 +216,11 @@ def _sim_config_inner(items: dict, alpha: float, horizon: float) -> SimConfig:
     else:
         raise ConfigError(f"split must be sym or asym:eps, got {split_key!r}")
 
-    baseline = _parse_law(items["baseline"])
-    if alpha == 0.0:
-        law = baseline.contract(0.0) if not getattr(baseline, "is_degenerate", False) else baseline
-    elif getattr(baseline, "is_degenerate", False):
-        raise ConfigError("alpha > 0 requires a non-degenerate baseline")
-    else:
-        law = AlphaFamily(baseline, alpha)
+    law = _parse_law(items["baseline"])
+    if alpha is not None:
+        if alpha > 0.0 and law.is_degenerate:
+            raise ConfigError("alpha > 0 requires a non-degenerate baseline")
+        law = law.contract(alpha)
 
     kernel_key = items["kernel"]
     if kernel_key == "memoryless":
@@ -239,7 +244,7 @@ def _sim_config_inner(items: dict, alpha: float, horizon: float) -> SimConfig:
         split=split,
         kernel=kernel,
         horizon=horizon,
-        root_size=_float_of(items, "root_size"),
+        root_size=_number_of(items, "root_size"),
         root_rate=root_rate,
     )
 
@@ -253,7 +258,10 @@ def _parse_rows(text: str) -> list:
         if ":" not in part:
             raise ConfigError(f"rows entries must be alpha:T, got {part!r}")
         a, _, t = part.partition(":")
-        rows.append((float(a), float(t)))
+        try:
+            rows.append((float(a), float(t)))
+        except ValueError as e:
+            raise ConfigError(f"rows entries must be numeric alpha:T, got {part!r}") from e
     if not rows:
         raise ConfigError("rows is empty")
     return rows
@@ -265,15 +273,7 @@ def _parse_rows(text: str) -> list:
 
 
 def _cmd_age_curve(args) -> int:
-    baseline = _parse_baseline_flag(args.baseline, args.vbar, args.sigma_eta)
-    if args.vmin is not None or args.vmax is not None:
-        if args.baseline.strip().lower() != "gauss":
-            raise ConfigError("--vmin/--vmax apply to the gauss baseline")
-        baseline = TruncatedGaussian(
-            args.vmin if args.vmin is not None else 0.0,
-            args.vmax if args.vmax is not None else 2.0 * args.vbar,
-            args.sigma_eta,
-        )
+    baseline = _parse_baseline_flag(args)
     alphas = [a for a in args.alpha if a > 0.0]
     rows = []
     for beta in args.beta:
@@ -291,7 +291,7 @@ def _cmd_age_perturb(args) -> int:
         B = ConstantRate(args.b_const)
     else:
         B = PowerLagRate(args.beta, args.lag)
-    baseline = _parse_baseline_flag(args.baseline, args.vbar, args.sigma_eta)
+    baseline = _parse_baseline_flag(args)
     lam0 = malthus_reference(B, baseline.mean)
     d2 = d2lambda_at_zero(B, baseline)
     rows = []
@@ -317,18 +317,18 @@ def _cmd_size_mc(args) -> int:
     if "rows" not in items:
         raise ConfigError("config needs rows=alpha:T[,alpha:T...]")
     rows_spec = _parse_rows(items["rows"])
-    m_trees = int(items["M"])
-    seed = int(items["seed"])
+    m_trees = _number_of(items, "M", int)
+    seed = _number_of(items, "seed", int)
     estimator = items["estimator"]
     if estimator not in ("biomass", "count"):
         raise ConfigError(f"estimator must be biomass or count, got {estimator!r}")
     if m_trees < 2:
         raise ConfigError("M must be at least 2")
     # validate every row's config before simulating anything
-    configs = [_sim_config(items, alpha, T) for alpha, T in rows_spec]
-
-    base = configs[0]
-    table = cv_table(base, rows_spec, m_trees, seed, estimator)
+    for alpha, T in rows_spec:
+        _sim_config(items, T, alpha)
+    # cv_table contracts the uncontracted baseline row by row
+    table = cv_table(_sim_config(items, rows_spec[0][1]), rows_spec, m_trees, seed, estimator)
     out_rows = []
     for row in table:
         e = row.estimate
@@ -354,7 +354,7 @@ def _cmd_size_mc(args) -> int:
 
 def _cmd_estimator_compare(args) -> int:
     items = _read_config(args.config, args.set)
-    cfg = _sim_config(items, args.alpha, max(args.horizons))
+    cfg = _sim_config(items, max(args.horizons), args.alpha)
     rows = estimator_sd_comparison(cfg, args.horizons, args.m, args.seed)
     _write_csv(args.out, ["T", "sd_biomass", "sd_count"], rows)
     return 0
@@ -362,7 +362,7 @@ def _cmd_estimator_compare(args) -> int:
 
 def _cmd_tree_dump(args) -> int:
     items = _read_config(args.config, args.set)
-    cfg = _sim_config(items, args.alpha, args.horizon)
+    cfg = _sim_config(items, args.horizon, args.alpha)
     tree = simulate_tree(cfg, RngStream(args.seed, args.stream))
     rows = []
     for c in tree.cells():

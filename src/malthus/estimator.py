@@ -89,13 +89,17 @@ def _worker_count() -> int:
     return 1
 
 
-def _mc_job(config: SimConfig, seed: int, estimator: str, m: int):
+def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, m: int):
+    """Simulate the tree on stream ``offset + m``; return, per horizon, the
+    requested statistics, and the living count at the config's horizon."""
     try:
-        tree = simulate_tree(config, RngStream(seed, m))
-        est = malthus_hat_biomass if estimator == "biomass" else malthus_hat_count
-        return est(tree), tree.living_count(tree.horizon)
+        tree = simulate_tree(config, RngStream(seed, offset + m))
+        # resolved per call, so wrappers installed on these module names
+        # (e.g. by a profiler) see every tree
+        hats = {"biomass": malthus_hat_biomass, "count": malthus_hat_count}
+        return [[hats[e](tree, T) for e in estimators] for T in horizons], tree.living_count(tree.horizon)
     except Exception as e:
-        raise RuntimeError(f"tree on stream {m} failed: {e}") from e
+        raise RuntimeError(f"tree on stream {offset + m} failed: {e}") from e
 
 
 def _map_trees(job, m_count: int):
@@ -125,6 +129,13 @@ def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: flo
     )
 
 
+def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset: int) -> MalthusEstimate:
+    rows = _map_trees(partial(_tree_job, config, seed, offset, (estimator,), (config.horizon,)), m_trees)
+    per_tree = np.asarray([r[0][0][0] for r in rows])
+    pops = np.asarray([r[1] for r in rows])
+    return _summarize(config, per_tree, pops, config.horizon)
+
+
 def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "biomass") -> MalthusEstimate:
     """Simulate ``m_trees`` independent trees on streams (seed, 0..m-1) and
     aggregate the per-tree statistics."""
@@ -132,10 +143,7 @@ def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "bi
         raise ValueError("need at least 2 trees")
     if estimator not in ("biomass", "count"):
         raise ValueError("estimator must be 'biomass' or 'count'")
-    rows = _map_trees(partial(_mc_job, config, seed, estimator), m_trees)
-    per_tree = np.asarray([r[0] for r in rows])
-    pops = np.asarray([r[1] for r in rows])
-    return _summarize(config, per_tree, pops, config.horizon)
+    return _estimate(config, m_trees, seed, estimator, 0)
 
 
 @dataclass(frozen=True)
@@ -147,12 +155,6 @@ class CvTableRow:
     status: str = "ok"
 
 
-def _contracted_config(base: SimConfig, baseline, alpha: float, T: float) -> SimConfig:
-    law = baseline.contract(alpha) if alpha > 0.0 else baseline.contract(0.0)
-    kernel = replace(base.kernel, law=law)
-    return replace(base, kernel=kernel, horizon=float(T))
-
-
 def cv_table(
     base: SimConfig,
     rows: Sequence[tuple],
@@ -162,40 +164,25 @@ def cv_table(
 ) -> list:
     """One Monte Carlo estimate per (alpha, T) row.
 
-    The base config's kernel law provides the non-degenerate baseline whose
-    contraction by alpha sets the row's rate variability; cv = alpha times
-    the baseline CV.  Row i runs on streams (seed, i*m .. i*m + m - 1), so
-    the table is reproducible row-by-row.  Failures are recorded in-row.
+    The base config's kernel law, as resolved by :class:`SimConfig` (an
+    ``AlphaFamily`` becomes its contracted law), is the baseline: row
+    (alpha, T) simulates ``baseline.contract(alpha)`` up to T, and its cv
+    is alpha times the baseline CV.  Row i runs on streams
+    (seed, i*m .. i*m + m - 1), so the table is reproducible row-by-row.
+    Failures are recorded in-row with their exception type.
     """
     baseline = base.kernel.law
-    baseline = baseline.baseline if hasattr(baseline, "baseline") and hasattr(baseline, "alpha") else baseline
     out = []
     for i, (alpha, T) in enumerate(rows):
         alpha = float(alpha)
-        cv = alpha * getattr(baseline, "cv", 0.0)
+        cv = alpha * baseline.cv
         try:
-            cfg = _contracted_config(base, baseline, alpha, T)
-            jobs = _map_trees(partial(_row_job, cfg, seed, estimator, i * m_trees), m_trees)
-            per_tree = np.asarray([r[0] for r in jobs])
-            pops = np.asarray([r[1] for r in jobs])
-            out.append(CvTableRow(alpha, cv, float(T), _summarize(cfg, per_tree, pops, T)))
+            kernel = replace(base.kernel, law=baseline.contract(alpha))
+            cfg = replace(base, kernel=kernel, horizon=float(T))
+            out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees)))
         except Exception as e:  # recorded, not fatal
-            out.append(CvTableRow(alpha, cv, float(T), None, f"error: {e}"))
+            out.append(CvTableRow(alpha, cv, float(T), None, f"error: {type(e).__name__}: {e}"))
     return out
-
-
-def _row_job(config: SimConfig, seed: int, estimator: str, offset: int, m: int):
-    return _mc_job(config, seed, estimator, offset + m)
-
-
-def _cmp_job(config: SimConfig, seed: int, horizons: tuple, m: int):
-    try:
-        tree = simulate_tree(config, RngStream(seed, m))
-        return [
-            (malthus_hat_biomass(tree, T), malthus_hat_count(tree, T)) for T in horizons
-        ]
-    except Exception as e:
-        raise RuntimeError(f"tree on stream {m} failed: {e}") from e
 
 
 def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_trees: int, seed: int) -> list:
@@ -214,8 +201,8 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     top = max(horizons)
     if not (top <= config.horizon):
         config = replace(config, horizon=top)
-    rows = _map_trees(partial(_cmp_job, config, seed, horizons), m_trees)
-    arr = np.asarray(rows)  # (m, len(horizons), 2)
+    rows = _map_trees(partial(_tree_job, config, seed, 0, ("biomass", "count"), horizons), m_trees)
+    arr = np.asarray([r[0] for r in rows])  # (m, len(horizons), 2)
     out = []
     for j, T in enumerate(horizons):
         out.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,9 +23,7 @@ __all__ = [
     "DEFAULT_ROOT_TOL",
     "TAIL_EPS",
     "integrate",
-    "semi_infinite_cutoff",
     "find_root_decreasing",
-    "second_central_difference",
     "RngStream",
     "mix64",
     "uniforms_at",
@@ -145,42 +143,6 @@ def integrate(
     )
 
 
-def semi_infinite_cutoff(
-    survival: Callable[[float], float],
-    eps: float = TAIL_EPS,
-    rel_tol: float = 1e-6,
-    max_doublings: int = 80,
-) -> float:
-    """Smallest point A (within rel_tol) with survival(A) <= eps.
-
-    ``survival`` is assumed non-increasing from survival(0) ~ 1.  Found by
-    doubling from 1 and then bisecting; the returned A always satisfies
-    survival(A) <= eps.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if float(survival(0.0)) <= eps:
-        return 0.0
-    hi = 1.0
-    n = 0
-    while float(survival(hi)) > eps:
-        hi *= 2.0
-        n += 1
-        if n > max_doublings:
-            raise NonConvergenceError(
-                "survival does not drop below eps; tail looks non-integrable",
-                best=hi,
-            )
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if float(survival(mid)) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def find_root_decreasing(
     h: Callable[[float], float],
     target: float,
@@ -227,7 +189,7 @@ def find_root_decreasing(
         )
         if abs(float(h(x)) - target) <= tol.abs_tol:
             return x
-    except Exception:
+    except (ValueError, RuntimeError):  # brentq's failures; NonConvergenceError is a RuntimeError
         pass
 
     # mandatory bisection fallback on the residual criterion
@@ -246,16 +208,6 @@ def find_root_decreasing(
     if abs(float(h(best)) - target) <= tol.abs_tol:
         return best
     raise NonConvergenceError("root residual tolerance not met", best=best)
-
-
-def second_central_difference(f: Callable[[float], float], x0: float, step: float) -> float:
-    """(f(x0+h) - 2 f(x0) + f(x0-h)) / h^2.
-
-    For one-sided use at x0 = 0 the caller supplies f(|x|) (even extension).
-    """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError("step must be positive and finite")
-    return (float(f(x0 + step)) - 2.0 * float(f(x0)) + float(f(x0 - step))) / (step * step)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +296,6 @@ class RngStream:
         c = np.arange(self._pos, self._pos + int(n), dtype=np.uint64)
         self._pos += int(n)
         return uniforms_at(self._base, c)
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
-    def open_uniform(self) -> float:
-        c = np.asarray([self._pos], dtype=np.uint64)
-        self._pos += 1
-        return float(open_uniforms_at(self._base, c)[0])
 
     def __repr__(self):  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index}, pos={self._pos})"

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
 from scipy.special import ndtri
 
-from .age_model import Dirac
+from .age_model import AlphaFamily, Dirac, DiscreteMixture, TruncatedGaussian, UniformLaw
 from .numerics import RngStream, cell_base, child_key, open_uniforms_at, uniforms_at
 
 __all__ = [
@@ -39,9 +39,7 @@ __all__ = [
     "SimConfig",
     "CellRecord",
     "TreeResult",
-    "sample_growth_rate",
     "sample_division_size",
-    "sample_daughter_size_unit_time",
     "lifetime",
     "simulate_tree",
     "living_at",
@@ -55,6 +53,7 @@ _DOM_RATE = 0
 _DOM_SIZE = 1 << 40
 _DOM_SPLIT = 2 << 40
 _RATE_BUDGET = 10_000
+_REDRAW_BUDGET = 129
 _THINNING_BUDGET = 100_000
 _ROOT_KEY = np.uint64(0x243F6A8885A308D3)
 
@@ -177,14 +176,13 @@ class DrawnFromKernel:
     """Root cell rate drawn from the heredity kernel like any daughter."""
 
 
-def _resolve_law(law):
-    # AlphaFamily carries a baseline + contraction amount; materialize it
-    return law.law() if hasattr(law, "law") and hasattr(law, "alpha") else law
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete description of one branching-tree experiment."""
+    """Complete description of one branching-tree experiment.
+
+    An :class:`AlphaFamily` kernel law is resolved to its contracted law
+    on construction, so ``kernel.law`` is always a samplable rate law.
+    """
 
     division: SizeDivisionRate
     growth: object = field(default_factory=Exponential)
@@ -202,6 +200,8 @@ class SimConfig:
             raise ValueError("root_size must be positive and finite")
         if self.max_cells < 1:
             raise ValueError("max_cells must be positive")
+        if isinstance(self.kernel.law, AlphaFamily):
+            object.__setattr__(self, "kernel", replace(self.kernel, law=self.kernel.law.law()))
 
     def canonical(self) -> str:
         """Flat key=value description; the digest hashes exactly this text."""
@@ -236,8 +236,6 @@ class SimConfig:
 
 
 def _law_tag(law) -> str:
-    if hasattr(law, "alpha") and hasattr(law, "baseline"):
-        return f"alpha:{law.alpha!r}|{_law_tag(law.baseline)}"
     name = type(law).__name__
     fields = getattr(law, "__dataclass_fields__", {})
     parts = [f"{k}={getattr(law, k)!r}" for k in fields]
@@ -337,28 +335,27 @@ class TreeResult:
 # ---------------------------------------------------------------------------
 
 
-def _draw_rates(law, bases: np.ndarray, start: int = _DOM_RATE) -> np.ndarray:
+def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
     """Vectorized per-cell rate draws; rejection for the Gaussian window."""
     n = bases.size
     lo, hi = law.support
-    if getattr(law, "is_degenerate", False) or lo == hi:
+    if law.is_degenerate or lo == hi:
         return np.full(n, law.mean)
-    name = type(law).__name__
-    if name == "UniformLaw":
-        u = uniforms_at(bases, np.full(n, start, dtype=np.uint64))
+    if isinstance(law, UniformLaw):
+        u = uniforms_at(bases, np.full(n, _DOM_RATE, dtype=np.uint64))
         return lo + u * (hi - lo)
-    if name == "DiscreteMixture":
-        u = uniforms_at(bases, np.full(n, start, dtype=np.uint64))
+    if isinstance(law, DiscreteMixture):
+        u = uniforms_at(bases, np.full(n, _DOM_RATE, dtype=np.uint64))
         vs = np.asarray([v for v, _ in law.atoms])
         cw = np.cumsum([w for _, w in law.atoms])
         return vs[np.searchsorted(cw, u, side="right")]
-    if name == "TruncatedGaussian":
+    if isinstance(law, TruncatedGaussian):
         out = np.empty(n)
         alive = np.arange(n)
         for attempt in range(_RATE_BUDGET):
             if alive.size == 0:
                 return out
-            u = open_uniforms_at(bases[alive], np.full(alive.size, start + attempt, dtype=np.uint64))
+            u = open_uniforms_at(bases[alive], np.full(alive.size, _DOM_RATE + attempt, dtype=np.uint64))
             v = law.mean + law.sigma_eta * ndtri(u)
             ok = (v >= lo) & (v <= hi)
             out[alive[ok]] = v[ok]
@@ -366,40 +363,7 @@ def _draw_rates(law, bases: np.ndarray, start: int = _DOM_RATE) -> np.ndarray:
         raise RuntimeError(
             f"rate rejection budget exhausted for {alive.size} cells; window [{lo}, {hi}] too improbable"
         )
-    raise TypeError(f"cannot sample from rate law {name}")
-
-
-def sample_growth_rate(kernel, parent_rate: Optional[float], rng: RngStream) -> float:
-    """Draw one growth rate from the heredity kernel.
-
-    ``parent_rate`` may be None for the founding cell, in which case the
-    kernel's fresh-draw law is used directly.  Gaussian-window laws are
-    sampled by rejection against the untruncated normal, whose acceptance
-    probability is the window's normal mass.
-    """
-    law = _resolve_law(kernel.law)
-    lo, hi = law.support
-    name = type(law).__name__
-    if getattr(law, "is_degenerate", False) or lo == hi:
-        fresh = law.mean
-    elif name == "UniformLaw":
-        fresh = lo + rng.uniform() * (hi - lo)
-    elif name == "DiscreteMixture":
-        cw = np.cumsum([w for _, w in law.atoms])
-        vs = [v for v, _ in law.atoms]
-        fresh = vs[int(np.searchsorted(cw, rng.uniform(), side="right"))]
-    elif name == "TruncatedGaussian":
-        for _ in range(_RATE_BUDGET):
-            fresh = law.mean + law.sigma_eta * float(ndtri(rng.open_uniform()))
-            if lo <= fresh <= hi:
-                break
-        else:
-            raise RuntimeError(f"rate rejection budget exhausted; window [{lo}, {hi}] too improbable")
-    else:
-        raise TypeError(f"cannot sample from rate law {name}")
-    if isinstance(kernel, AutoRegressive) and parent_rate is not None:
-        return float(np.clip(kernel.theta * float(parent_rate) + (1.0 - kernel.theta) * fresh, lo, hi))
-    return float(fresh)
+    raise TypeError(f"cannot sample from rate law {type(law).__name__}")
 
 
 def sample_division_size(division: SizeDivisionRate, birth_size, u):
@@ -431,28 +395,6 @@ def _inverse_from(division: SizeDivisionRate, x_b, E):
     return division.x0 + (bp1 * np.asarray(E, dtype=float) + head) ** (1.0 / bp1)
 
 
-def sample_daughter_size_unit_time(division: SizeDivisionRate, birth_size: float, v: float, rng: RngStream) -> float:
-    """Daughter size under a per-unit-time hazard with exponential growth.
-
-    The division size s >= birth has hazard B(s)/(v s) per unit size;
-    thinning against the envelope B(s)/(v * birth) (valid since s >= birth)
-    yields exact draws: propose from the envelope's closed-form inverse,
-    accept with probability birth/s.  Returns s/2, the size either daughter
-    would get under an even split.
-    """
-    x = float(birth_size)
-    v = float(v)
-    if x <= 0.0 or v <= 0.0:
-        raise ValueError("birth size and rate must be positive")
-    cum = float(division.cumulative(x))
-    for _ in range(_THINNING_BUDGET):
-        cum += v * x * (-math.log(rng.open_uniform()))
-        s = float(division.inverse_cumulative(cum))
-        if rng.uniform() * s < x:
-            return s / 2.0
-    raise RuntimeError(f"thinning budget exhausted (birth size {x}, rate {v})")
-
-
 def lifetime(growth, birth_size, division_size, v):
     """Time to grow from birth_size to division_size at rate v."""
     x_b = np.asarray(birth_size, dtype=float)
@@ -479,32 +421,29 @@ def lifetime(growth, birth_size, division_size, v):
 
 
 def _division_sizes(config: SimConfig, bases: np.ndarray, x_b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized division sizes, dispatching on hazard accounting and growth."""
-    div = config.division
-    n = bases.size
-    if div.mode == "unit_size":
-        scale = None  # E used as-is
-    elif isinstance(config.growth, Linear):
-        scale = v  # hazard per unit size is B/v: cumulative scaled by 1/v
-    else:
-        return _division_sizes_thinning(div, bases, x_b, v)
+    """Vectorized division sizes, dispatching on hazard accounting and growth.
 
-    out = np.empty(n)
-    alive = np.arange(n)
-    attempt = 0
-    while alive.size:
+    Inverse transform (:func:`sample_division_size`) for the per-unit-size
+    hazard and, with E scaled, for the per-unit-time hazard under linear
+    growth; thinning for the per-unit-time hazard under exponential growth.
+    """
+    div = config.division
+    if div.mode == "unit_time" and not isinstance(config.growth, Linear):
+        return _division_sizes_thinning(div, bases, x_b, v)
+    out = np.empty(bases.size)
+    alive = np.arange(bases.size)
+    for attempt in range(_REDRAW_BUDGET):
         u = uniforms_at(bases[alive], np.full(alive.size, _DOM_SIZE + attempt, dtype=np.uint64))
         ok = u > 0.0  # a zero draw would mean dividing at birth size; redrawn
         idx = alive[ok]
-        E = -np.log1p(-u[ok])
-        if scale is not None:
-            E = E * scale[idx]
-        out[idx] = _inverse_from(div, x_b[idx], E)
+        if div.mode == "unit_size":
+            out[idx] = sample_division_size(div, x_b[idx], u[ok])
+        else:  # linear growth: the hazard per unit size is B/v, so E scales by v
+            out[idx] = _inverse_from(div, x_b[idx], -np.log1p(-u[ok]) * v[idx])
         alive = alive[~ok]
-        attempt += 1
-        if attempt > 128:
-            raise RuntimeError("division-size resampling budget exhausted")
-    return out
+        if alive.size == 0:
+            return out
+    raise RuntimeError("division-size resampling budget exhausted")
 
 
 def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -515,8 +454,7 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     x_b/s, the exact hazard ratio.
     """
     n = bases.size
-    s = x_b.astype(float).copy()
-    cum = np.asarray(div.cumulative(s))  # envelope state, in cumulative-B coordinates
+    cum = div.cumulative(x_b)  # envelope state, in cumulative-B coordinates
     out = np.empty(n)
     alive = np.arange(n)
     for k in range(_THINNING_BUDGET):
@@ -529,7 +467,6 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
         cand = div.inverse_cumulative(cum[alive])
         u2 = uniforms_at(bases[alive], cnt + np.uint64(1))
         accept = u2 * cand < x_b[alive]
-        s[alive] = cand
         out[alive[accept]] = cand[accept]
         alive = alive[~accept]
     raise RuntimeError(
@@ -545,10 +482,12 @@ def _split_fractions(split, bases: np.ndarray) -> np.ndarray:
     return split.eps + (1.0 - 2.0 * split.eps) * u
 
 
-def _child_rates(kernel, law, bases: np.ndarray, parent_rates: np.ndarray) -> np.ndarray:
-    fresh = _draw_rates(law, bases)
+def _child_rates(kernel, bases: np.ndarray, parent_rates: np.ndarray) -> np.ndarray:
+    """Daughter rates: a fresh draw from ``kernel.law``, pulled toward the
+    parent rate and clipped to the law's support under AutoRegressive."""
+    fresh = _draw_rates(kernel.law, bases)
     if isinstance(kernel, AutoRegressive):
-        lo, hi = law.support
+        lo, hi = kernel.law.support
         return np.clip(kernel.theta * parent_rates + (1.0 - kernel.theta) * fresh, lo, hi)
     return fresh
 
@@ -562,7 +501,6 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
     is deterministic for a given (config, seed, stream_index).
     """
     T = config.horizon
-    law = _resolve_law(config.kernel.law)
     stream_base = rng.base
 
     parents = []
@@ -584,7 +522,7 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
     if isinstance(config.root_rate, FixedRate):
         f_tau = np.asarray([config.root_rate.value])
     else:
-        f_tau = _draw_rates(law, bases)
+        f_tau = _draw_rates(config.kernel.law, bases)
 
     total = 0
     next_index = 0
@@ -635,7 +573,7 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
         f_b = np.concatenate([p_d, p_d])
         f_xi = np.concatenate([c_first, c_second])
         bases = cell_base(stream_base, keys)
-        f_tau = _child_rates(config.kernel, law, bases, np.concatenate([p_tau, p_tau]))
+        f_tau = _child_rates(config.kernel, bases, np.concatenate([p_tau, p_tau]))
 
     return TreeResult(
         config,

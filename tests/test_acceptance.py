@@ -30,7 +30,7 @@ from malthus.age_model import (
 )
 from malthus.cli import main
 from malthus.estimator import cv_table, estimator_sd_comparison, monte_carlo
-from malthus.numerics import RngStream
+from malthus.numerics import RngStream, cell_base
 from malthus.size_sim import (
     Exponential,
     FixedRate,
@@ -40,9 +40,8 @@ from malthus.size_sim import (
     SizeDivisionRate,
     Symmetric,
     UniformAsymmetric,
-    sample_daughter_size_unit_time,
-    sample_division_size,
 )
+from malthus.size_sim import _division_sizes
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
 TWOPOINT = DiscreteMixture([(0.5, 0.5), (1.5, 0.5)])
@@ -221,18 +220,20 @@ def test_criterion_09_biomass_beats_count_at_every_horizon():
 
 
 def test_criterion_10_daughter_size_law_oracles():
+    # the division-size sampler simulate_tree runs, on n cells born at size 2
+    # with rate 1 and keyed 0..n-1 on stream (2026, k)
     t0 = time.perf_counter()
     n = 100_000
-    div = SizeDivisionRate(1.0, 2.0, "unit_size")
-    u = RngStream(2026, 0).uniforms(n)
-    s = np.sort(sample_division_size(div, 2.0, u))
+    keys = np.arange(n, dtype=np.uint64)
+    x_b, v = np.full(n, 2.0), np.ones(n)
+    bases = cell_base(RngStream(2026, 0).base, keys)
+    s = np.sort(_division_sizes(base_config(0.0, 1.0, mode="unit_size"), bases, x_b, v))
     cdf = 1.0 - np.exp(-((s - 1.0) ** 3 - 1.0) / 3.0)
     ks_size = ks_distance(s, cdf)
     assert ks_size < 0.01
 
-    div_t = SizeDivisionRate(1.0, 2.0, "unit_time")
-    rng = RngStream(2026, 1)
-    draws = np.sort([2.0 * sample_daughter_size_unit_time(div_t, 2.0, 1.0, rng) for _k in range(n)])
+    bases = cell_base(RngStream(2026, 1).base, keys)
+    draws = np.sort(_division_sizes(base_config(0.0, 1.0, mode="unit_time"), bases, x_b, v))
     prim = lambda y: 0.5 * y * y - 2.0 * y + np.log(y)  # primitive of (y-1)^2 / y
     cdf_t = 1.0 - np.exp(-(prim(draws) - prim(2.0)))
     ks_time = ks_distance(draws, cdf_t)

@@ -155,9 +155,12 @@ def test_sign_condition_classification(tg):
 
 def test_second_derivative_closed_form():
     d2 = d2lambda_at_zero(ConstantRate(1.0), TWOPOINT)
-    assert abs(d2 + 0.25) < 1e-6  # -sigma^2 b vbar with sigma^2 = 1/4
+    assert abs(d2 + 0.25) < 1e-6  # -sigma^2 b / vbar with sigma^2 = 1/4
     d2b = d2lambda_at_zero(ConstantRate(2.0), DiscreteMixture([(0.8, 0.5), (1.2, 0.5)]))
     assert abs(d2b + 0.04 * 2.0) < 1e-6
+    # vbar = 2, sigma^2 = 1: lambda(alpha) = 1.5 * 2 * sqrt(1 - alpha^2 / 4)
+    d2c = d2lambda_at_zero(ConstantRate(1.5), DiscreteMixture([(1.0, 0.5), (3.0, 0.5)]))
+    assert abs(d2c + 0.75) < 1e-6
 
 
 def test_quadratic_residual_shrinks_quartically(tg):

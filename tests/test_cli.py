@@ -63,6 +63,15 @@ def test_age_curve_window_flags_require_gauss(tmp_path):
         "twopoint(0.5,1.5)", "--vmin", "0.1", "--out", str(tmp_path / "x.csv"),
     ])
     assert rc == 2
+    # malformed baselines are config errors too, caught before any solve
+    for flags in (
+        ["--baseline", "twopoint(a,b)"],
+        ["--baseline", "twopoint(0.5,1.5,2)"],
+        ["--vmin", "3", "--vmax", "1"],
+        ["--sigma-eta", "-1"],
+    ):
+        argv = ["age-curve", "--beta", "0", "--alpha", "0.5", *flags, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2, flags
 
 
 def test_age_perturb_rows(tmp_path):
@@ -145,8 +154,48 @@ def test_size_mc_config_errors(tmp_path):
     assert main(["size-mc", "--config", cfg, "--set", "M", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "rows=0.4:-1", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "M=1", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "M=abc", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "seed=x", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "rows=a:4", "--out", out]) == 2
     bad = write_cfg(tmp_path, "rows 0.4:5\n", name="bad.cfg")
     assert main(["size-mc", "--config", bad, "--out", out]) == 2
+
+
+def test_size_mc_alpha_zero_first_row_keeps_baseline(tmp_path):
+    # the table's baseline is the configured law, not the first row's law
+    out = tmp_path / "t.csv"
+    assert main(["size-mc", "--set", "rows=0:4,0.5:4", "--set", "M=2", "--out", str(out)]) == 0
+    zero, half = read_csv(out)
+    assert float(zero["cv"]) == 0.0 and float(zero["sd"]) < 1e-12
+    assert abs(float(half["cv"]) - 0.5 * TG_CV) < 1e-9
+    assert float(half["sd"]) > 0.0
+
+
+# SHA-256 prefixes of small outputs, pinned to guard byte identity across
+# refactors: all three samplers (inverse transform, linear-growth inverse
+# transform, thinning), both kernels and splits, both growth laws and a
+# kernel-drawn root rate
+PINNED = [
+    (["size-mc", "--set", "rows=0.3:7,0.8:7.5", "--set", "M=6", "--set", "seed=4"], "0f913823dc64b45d"),
+    (["size-mc", "--set", "rows=0.5:7", "--set", "M=5", "--set", "seed=2", "--set", "baseline=uniform:0.4,1.6",
+      "--set", "kernel=ar:0.5", "--set", "split=asym:0.2"], "20514ebd5808e7a7"),
+    (["size-mc", "--set", "rows=0.6:9", "--set", "M=4", "--set", "seed=3", "--set", "baseline=twopoint:0.5,1.5",
+      "--set", "growth=linear", "--set", "root_rate=kernel"], "0d35beddac9edc81"),
+    (["size-mc", "--set", "rows=0.4:6", "--set", "M=4", "--set", "seed=5", "--set", "division.mode=unit_time"],
+     "44ebbe717c5689b0"),
+    (["tree-dump", "--alpha", "0.3", "--horizon", "7", "--seed", "1", "--set", "division.mode=unit_time",
+      "--set", "split=asym:0.1", "--set", "kernel=ar:0.5"], "8a527d89c55f84df"),
+    (["tree-dump", "--alpha", "0.7", "--horizon", "8", "--seed", "2", "--set", "growth=linear",
+      "--set", "baseline=uniform:0.4,1.6", "--set", "root_rate=kernel"], "67efd0bf229450c8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(PINNED)])
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.setenv("MALTHUS_THREADS", "1")
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_size_mc_alternative_laws_run(tmp_path):

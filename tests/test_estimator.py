@@ -160,7 +160,7 @@ def test_cv_table_records_row_failures():
     base = make_config(alpha=1.0, horizon=5.0)
     table = cv_table(base, [(0.4, -1.0), (0.2, 4.0)], m_trees=4, seed=9)
     assert table[0].estimate is None
-    assert table[0].status.startswith("error")
+    assert table[0].status.startswith("error: ValueError: horizon must be")
     assert table[1].status == "ok"
 
 

@@ -15,8 +15,6 @@ from malthus.numerics import (
     find_root_decreasing,
     integrate,
     open_uniforms_at,
-    second_central_difference,
-    semi_infinite_cutoff,
     uniforms_at,
 )
 
@@ -53,15 +51,6 @@ def test_integrate_linear_in_integrand(c1, c2):
     assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(c1) + abs(c2))
 
 
-def test_semi_infinite_cutoff_lagged_cubic_tail():
-    # survival of the hazard (a-1)_+^2; drops below 1e-12 at 1+(3 ln 1e12)^(1/3)
-    S = lambda a: math.exp(-max(a - 1.0, 0.0) ** 3 / 3.0)
-    A = semi_infinite_cutoff(S, 1e-12)
-    a_star = 1.0 + (3.0 * math.log(1e12)) ** (1.0 / 3.0)
-    assert S(A) <= 1e-12
-    assert a_star <= A <= 2.0 * a_star
-
-
 def test_root_exponential():
     lam = find_root_decreasing(lambda l: 2.0 * math.exp(-l), 1.0, DEFAULT_ROOT_TOL)
     assert abs(lam - math.log(2.0)) < 1e-12
@@ -78,11 +67,6 @@ def test_root_certificate_brackets_answer():
 def test_root_never_crossing_raises():
     with pytest.raises(NonConvergenceError):
         find_root_decreasing(lambda l: 1.5 + 1.0 / (1.0 + l), 1.0, DEFAULT_ROOT_TOL)
-
-
-def test_second_central_difference_cosine():
-    d2 = second_central_difference(math.cos, 0.0, 1e-4)
-    assert abs(d2 + 1.0) < 1e-6
 
 
 # --- random stream -----------------------------------------------------------

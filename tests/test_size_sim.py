@@ -9,7 +9,7 @@ from scipy import stats
 
 from conftest import TG_CV
 from malthus.age_model import AlphaFamily, Dirac, TruncatedGaussian, UniformLaw
-from malthus.numerics import RngStream
+from malthus.numerics import RngStream, cell_base
 from malthus.size_sim import (
     AutoRegressive,
     DrawnFromKernel,
@@ -24,13 +24,17 @@ from malthus.size_sim import (
     biomass_at,
     lifetime,
     living_at,
-    sample_daughter_size_unit_time,
     sample_division_size,
-    sample_growth_rate,
     simulate_tree,
 )
+from malthus.size_sim import _child_rates, _division_sizes
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
+
+
+def cell_bases(seed, stream, n):
+    """Draw bases of n cells, keyed 0..n-1, as simulate_tree derives them."""
+    return cell_base(RngStream(seed, stream).base, np.arange(n, dtype=np.uint64))
 
 
 def make_config(alpha=0.4, horizon=6.0, growth=None, split=None, kernel=None, **kw):
@@ -90,10 +94,9 @@ def test_division_size_validation():
 
 
 def test_unit_time_sampler_matches_quadrature_cdf():
-    div = SizeDivisionRate(1.0, 2.0, "unit_time")
-    rng = RngStream(11, 0)
+    cfg = make_config(division=SizeDivisionRate(1.0, 2.0, "unit_time"))
     n = 20_000
-    draws = np.sort([2.0 * sample_daughter_size_unit_time(div, 2.0, 1.0, rng) for _ in range(n)])
+    draws = np.sort(_division_sizes(cfg, cell_bases(11, 0, n), np.full(n, 2.0), np.ones(n)))
     # per-time hazard v x B(x) along exponential growth integrates to
     # int_xb^s B(y)/y dy independent of v
     prim = lambda y: 0.5 * y * y - 2.0 * y + np.log(y)
@@ -120,15 +123,13 @@ def test_growth_laws_size_at():
 
 
 def test_sample_growth_rate_kernels():
-    rng = RngStream(3, 0)
-    law = AlphaFamily(TG, 0.5)
-    vs = [sample_growth_rate(Memoryless(law), None, rng) for _ in range(2000)]
-    lo, hi = law.law().support
-    assert all(lo <= v <= hi for v in vs)
+    law = TG.contract(0.5)
+    vs = _child_rates(Memoryless(law), cell_bases(3, 0, 2000), np.full(2000, 1.4))
+    lo, hi = law.support
+    assert np.all((lo <= vs) & (vs <= hi))
     assert abs(np.mean(vs) - 1.0) < 0.02
     # autoregressive pull toward the parent
-    ar = AutoRegressive(law, 0.9)
-    child = [sample_growth_rate(ar, 1.4, rng) for _ in range(500)]
+    child = _child_rates(AutoRegressive(law, 0.9), cell_bases(3, 1, 500), np.full(500, 1.4))
     assert abs(np.mean(child) - (0.9 * 1.4 + 0.1 * 1.0)) < 0.02
 
 
@@ -279,6 +280,8 @@ def test_config_digest_tracks_content():
     assert a.digest == make_config(horizon=6.0).digest
     text = a.canonical()
     assert "horizon=6" in text and "split=sym" in text
+    # an AlphaFamily kernel law is resolved once, on construction
+    assert a.kernel.law == TG.contract(0.4)
 
 
 def test_config_validation():
