@@ -7,6 +7,14 @@ population growth exponent lambda solves
 
     2 * iint exp(-lambda a / v) f_B(a) rho(v) dv da = 1.
 
+Every integral against the division-age law goes through one quadrature
+table built per call: composite Gauss-Legendre panels graded toward 0 and
+toward the onset of the support and cut at the kinks of B, with one set of
+weights for f_B (terminal atom included) and one for the survival S.  The
+resolvent is then a single weighted sum over the table nodes and the rate
+nodes of rho; the closed forms of the constant rate serve only as test
+oracles.
+
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
 alpha), eigenvalue solvers including the general hazard/speed form with
@@ -20,15 +28,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import erf
+from scipy.special import erf, roots_legendre
 
 from .numerics import (
     DEFAULT_ROOT_TOL,
     TAIL_EPS,
     Tolerance,
     find_root_decreasing,
-    integrate,
+    integrate,  # unused here; bench/tracing.py wraps it by this module's name
 )
 
 __all__ = [
@@ -52,10 +59,12 @@ __all__ = [
     "cv_curve",
 ]
 
-# inner quadrature runs two orders below the root tolerance so that
-# accumulated quadrature bias stays invisible to the root solver
-_QUAD = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=60)
 _GL_NODES = 64
+
+# Sums over quadrature tables use np.einsum, never `@`: OpenBLAS runs every
+# product above a few thousand elements on all cores, and between the many
+# small products of a root solve its worker threads spin, so a solve holds
+# every core and slows down whenever another process needs one.
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +287,7 @@ class Dirac:
 
 
 def _gl_on(a: float, b: float, n: int):
-    x, w = leggauss(n)
+    x, w = roots_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -500,34 +509,68 @@ class AlphaFamily:
 # ---------------------------------------------------------------------------
 
 
-def _fb_integral(B, kernel: Callable[[np.ndarray], np.ndarray], tol: Tolerance = _QUAD) -> float:
-    """integral of f_B(a) * kernel(a) over the support, terminal atom included."""
+def _panel_edges(end: float, graded: Iterable[float], splits: Iterable[float] = ()) -> np.ndarray:
+    """Panel edges on [0, end]: geometric to the right of every point of
+    ``graded`` (nine decades, eight panels each), plain cuts at ``splits``.
+    Grading toward a point resolves both the boundary layers
+    exp(-K (a - g)) of every rate K at once and an onset (a - g)^beta."""
+    graded = [g for g in graded if 0.0 <= g < end]
+    geo = np.logspace(-9.0, 0.0, 9 * 8 + 1)
+    pieces = [[0.0, end], graded, [k for k in splits if 0.0 < k < end]]
+    pieces += [g + (end - g) * geo for g in graded]
+    return np.unique(np.concatenate(pieces))
+
+
+def _gauss_panels(edges: np.ndarray):
+    """Nodes and weights of 16-point Gauss-Legendre on every panel of ``edges``."""
+    gx, gw = roots_legendre(16)
+    half = 0.5 * np.diff(edges)
+    nodes = edges[:-1, None] + half[:, None] * (gx[None, :] + 1.0)
+    return nodes.ravel(), (half[:, None] * gw[None, :]).ravel()
+
+
+def _fb_table(B):
+    """Quadrature table of the division-age law: nodes a and weights (w, s)
+    with  w @ g(a) = int f_B g  (terminal atom included)  and
+    s @ g(a) = int_0^inf S g,  both truncated at B.cutoff(TAIL_EPS).
+
+    Panels are graded toward 0 and toward the onset of the support and cut
+    at the kinks of B; between kinks f_B is smooth, so the kinks of a
+    tabulated hazard need no grading of their own."""
     start = float(B.support_start)
-    end = B.cutoff(TAIL_EPS)
-    val = integrate(lambda a: B.density(a) * kernel(a), start, end, tol, kinks=B.kinks)
+    edges = _panel_edges(B.cutoff(TAIL_EPS), {0.0, start}, B.kinks)
+    a, g = _gauss_panels(edges)
+    w = g * B.density(a)
+    s = g * B.survival(a)
     atom = float(B.atom_mass)
     if atom > 0.0:
-        val += atom * float(np.asarray(kernel(np.asarray([B.support_end])))[0])
-    return val
+        a = np.append(a, B.support_end)
+        w = np.append(w, atom)
+        s = np.append(s, 0.0)
+    return a, w, s
+
+
+def _fb_integral(B, kernel: Callable[[np.ndarray], np.ndarray]) -> float:
+    """integral of f_B(a) * kernel(a) over the support, terminal atom included."""
+    a, w, _ = _fb_table(B)
+    return float(np.einsum("i,i->", w, kernel(a)))
 
 
 def _resolvent_factory(B, law) -> Callable[[float], float]:
-    """H(lambda) = 2 iint exp(-lambda a / v) f_B(a) rho(v) dv da."""
+    """H(lambda) = 2 iint exp(-lambda a / v) f_B(a) rho(v) dv da, one
+    weighted sum over the f_B table and the rate nodes per evaluation."""
     nodes, weights = law.quadrature()
-    if isinstance(B, ConstantRate):
-        b = B.b
-
-        def H(lam: float) -> float:
-            # int exp(-s a) f_B = b / (s + b), exact for the constant rate
-            return float(2.0 * np.sum(weights * (b * nodes) / (lam + b * nodes)))
-
-        return H
+    a, w, _ = _fb_table(B)
+    keep = w != 0.0  # the lag before the onset carries no division mass
+    w = w[keep]
+    rate = np.multiply.outer(a[keep], -1.0 / nodes)
+    # one buffer reused by every evaluation: a fresh array of this size
+    # costs more in page faults than the exponentials themselves
+    buf = np.empty_like(rate)
 
     def H(lam: float) -> float:
-        def kernel(a):
-            return np.exp(np.multiply.outer(np.asarray(a, dtype=float), -lam / nodes)) @ weights
-
-        return 2.0 * _fb_integral(B, kernel)
+        np.multiply(rate, lam, out=buf)
+        return 2.0 * float(np.einsum("i,i->", w, np.einsum("ij,j->i", np.exp(buf, out=buf), weights)))
 
     return H
 
@@ -558,16 +601,7 @@ def _cum_along(f: Callable, pts: np.ndarray, sx: np.ndarray, sw: np.ndarray) -> 
     half = 0.5 * (hi - lo)
     xs = lo[:, None] + half[:, None] * (sx[None, :] + 1.0)
     fv = f(xs.ravel()).reshape(xs.shape)
-    return np.concatenate([[0.0], np.cumsum((fv @ sw) * half)])
-
-
-def _geometric_panels(end: float, kinks: Sequence[float], per_decade: int = 24) -> np.ndarray:
-    """Panel edges on [0, end], geometric toward 0 (nine decades), split at
-    kinks.  Resolves exp(-K a) boundary layers for every rate K at once."""
-    decades = 9
-    geo = end * np.logspace(-decades, 0.0, decades * per_decade + 1)
-    edges = np.unique(np.concatenate([[0.0], geo, [k for k in kinks if 0.0 < k < end], [end]]))
-    return edges
+    return np.concatenate([[0.0], np.cumsum(np.einsum("ij,j->i", fv, sw) * half)])
 
 
 def malthus_general(
@@ -587,12 +621,13 @@ def malthus_general(
 
     which reduces to :func:`malthus_with_variability` when hazard = B(a)
     and inv_speed = 1/v.  The accumulated hazard and inverse speed are
-    tabulated once per rate node on a composite Gauss grid, so each
-    resolvent evaluation is a single weighted sum.
+    tabulated once per rate node on a composite Gauss grid graded toward 0
+    and toward every age of ``kink_ages`` (where an onset (a - lag)^beta
+    sits), so each resolvent evaluation is a single weighted sum.
     """
     nodes, weights = rho.quadrature()
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    sx, sw = np.polynomial.legendre.leggauss(8)
+    sx, sw = roots_legendre(8)
+    graded = (0.0, *kink_ages)
     ln_eps = -math.log(TAIL_EPS)
 
     wh_all, ch_all, cp_all = [], [], []
@@ -610,7 +645,7 @@ def malthus_general(
         # grow the domain until the accumulated hazard passes the tail cut
         hi = 1.0
         for _ in range(64):
-            edges = _geometric_panels(hi, kink_ages)
+            edges = _panel_edges(hi, graded)
             cum = _cum_along(haz, edges, sx, sw)
             if cum[-1] >= ln_eps:
                 break
@@ -619,11 +654,8 @@ def malthus_general(
             raise ValueError("hazard accumulates no mass")
         end = float(edges[max(1, int(np.searchsorted(cum, ln_eps)))])
 
-        panels = _geometric_panels(end, kink_ages)
-        p0, p1 = panels[:-1], panels[1:]
-        half = 0.5 * (p1 - p0)
-        t = (p0[:, None] + half[:, None] * (gx[None, :] + 1.0)).ravel()
-        w_t = (half[:, None] * gw[None, :]).ravel()
+        panels = _panel_edges(end, graded)
+        t, w_t = _gauss_panels(panels)
 
         brk = np.unique(np.concatenate([panels, t]))
         pos = np.searchsorted(brk, t)
@@ -638,7 +670,7 @@ def malthus_general(
     cp = np.concatenate(cp_all)
 
     def H(lam: float) -> float:
-        return 2.0 * float(wh @ np.exp(-lam * cp - ch))
+        return 2.0 * float(np.einsum("i,i->", wh, np.exp(-lam * cp - ch)))
 
     return find_root_decreasing(H, 1.0, tol)
 
@@ -687,20 +719,12 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
     nodes, weights = rho.quadrature()
     end = B.cutoff(TAIL_EPS)
 
-    # kappa: 1 = kappa * int rho(v)/v [int exp(-lam a/v) S(a) da] dv
-    def ker_n(a):
-        return np.exp(np.multiply.outer(np.asarray(a, dtype=float), -lam / nodes)) @ (weights / nodes)
-
-    inv_kappa = integrate(lambda a: B.survival(a) * ker_n(a), 0.0, end, _QUAD, kinks=B.kinks)
-    kappa = 1.0 / inv_kappa
-
+    # kappa:  1 = kappa * int rho(v)/v [int exp(-lam a/v) S(a) da] dv
     # kappa': 1 = kappa kappa' int rho(v)/v [int s exp(-lam s/v) f_B(s) ds] dv
-    def ker_np(a):
-        a = np.asarray(a, dtype=float)
-        return (np.exp(np.multiply.outer(a, -lam / nodes)) @ (weights / nodes)) * a
-
-    j = _fb_integral(B, ker_np)
-    kappa_prime = 1.0 / (kappa * j)
+    a_tab, w_tab, s_tab = _fb_table(B)
+    ker = np.einsum("ij,j->i", np.exp(np.multiply.outer(a_tab, -lam / nodes)), weights / nodes)
+    kappa = 1.0 / float(np.einsum("i,i->", s_tab, ker))
+    kappa_prime = 1.0 / (kappa * float(np.einsum("i,i,i->", w_tab, ker, a_tab)))
 
     S_a = B.survival(a_nodes)
     if np.any(S_a < 1e-250):
@@ -714,7 +738,7 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
     # never under- or overflows even where exp(-lam a/v) itself would.
     # Each inter-node strip is integrated by composite Gauss panels split at
     # the hazard kinks, vectorized over the whole v grid at once.
-    gx, gw = np.polynomial.legendre.leggauss(16)
+    gx, gw = roots_legendre(16)
 
     def strip(x0: float, x1: float) -> np.ndarray:
         # int_{x0}^{x1} f_B(s) exp(-lam (s - x0)/v) ds for every v
@@ -724,7 +748,7 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
             half = 0.5 * (p1 - p0)
             xs = p0 + half * (gx + 1.0)
             fw = B.density(xs) * (gw * half)
-            out += fw @ np.exp(np.multiply.outer(-(lam * (xs - x0)), 1.0 / v_nodes))
+            out += np.einsum("i,ij->j", fw, np.exp(np.multiply.outer(-(lam * (xs - x0)), 1.0 / v_nodes)))
         return out
 
     G = np.zeros((a_nodes.size, v_nodes.size))
@@ -764,12 +788,12 @@ def dlambda_dalpha(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> fl
 
     def ker_d1(a):
         a = np.asarray(a, dtype=float)
-        return (np.exp(np.multiply.outer(a, -lam / u)) * (1.0 / u)[None, :] @ weights) * a
+        return np.einsum("ij,j->i", np.exp(np.multiply.outer(a, -lam / u)), weights / u) * a
 
     def ker_d2(a):
         a = np.asarray(a, dtype=float)
         w2 = weights * (nodes - m) / (u * u)
-        return (np.exp(np.multiply.outer(a, -lam / u)) @ w2) * a * lam
+        return np.einsum("ij,j->i", np.exp(np.multiply.outer(a, -lam / u)), w2) * a * lam
 
     d1 = _fb_integral(B, ker_d1)
     d2 = _fb_integral(B, ker_d2)
@@ -847,7 +871,7 @@ def cv_curve(B, baseline, alphas: Sequence[float], tol: Tolerance = DEFAULT_ROOT
             fam = AlphaFamily(baseline, alpha)
             lam = malthus_with_variability(B, fam.law(), tol)
             rows.append(CurveRow(alpha, fam.cv, lam))
-        except Exception as e:  # recorded, not fatal
-            rows.append(CurveRow(alpha, alpha * baseline.cv, math.nan, f"error: {e}"))
+        except (ValueError, RuntimeError) as e:  # recorded, not fatal
+            rows.append(CurveRow(alpha, alpha * baseline.cv, math.nan, f"error: {type(e).__name__}: {e}"))
     rows.sort(key=lambda r: r.cv)
     return rows

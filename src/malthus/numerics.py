@@ -176,10 +176,15 @@ def find_root_decreasing(
     if fhi == 0.0:
         return hi
 
+    # brentq wraps its callable in a function that sits in a reference
+    # cycle, which would keep h, and the arrays it holds, alive until the
+    # next cyclic collection; reaching h through a list emptied afterwards
+    # frees it as soon as the caller drops it
+    ref = [h]
     try:
         x = float(
             brentq(
-                lambda s: float(h(s)) - target,
+                lambda s: float(ref[0](s)) - target,
                 lo,
                 hi,
                 xtol=1e-15 * max(1.0, hi),
@@ -191,6 +196,8 @@ def find_root_decreasing(
             return x
     except (ValueError, RuntimeError):  # brentq's failures; NonConvergenceError is a RuntimeError
         pass
+    finally:
+        ref.clear()
 
     # mandatory bisection fallback on the residual criterion
     for _ in range(max(tol.max_iter, 200)):

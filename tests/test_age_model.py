@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from conftest import TG_CV, witness_rate
+from malthus import age_model
 from malthus.age_model import (
     AlphaFamily,
     ConstantRate,
@@ -120,6 +123,58 @@ def test_general_solver_reduces_to_variability(tg):
     B = PowerLagRate(2.0, 1.0)
     lam_gen = malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, tg, kink_ages=(1.0,))
     assert abs(lam_gen - malthus_with_variability(B, tg)) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+def test_general_solver_resolves_fractional_onset(tg, beta):
+    # the (a - lag)^beta onset must be graded toward like 0 is
+    B = PowerLagRate(beta, 1.0)
+    law = AlphaFamily(tg, 0.5).law()
+    lam_gen = malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, law, kink_ages=B.kinks)
+    assert abs(lam_gen - malthus_with_variability(B, law)) <= 1e-10
+
+
+def test_fractional_power_lag_matches_adaptive_quadrature():
+    # independent oracle: QUADPACK resolvent and brentq, with the lag
+    # substituted out so the (a - 1)^0.25 onset sits at an interval end
+    beta = 0.25
+    B = PowerLagRate(beta, 1.0)
+
+    def f_B(t):
+        return t**beta * math.exp(-(t ** (beta + 1.0)) / (beta + 1.0))
+
+    def H(lam, atoms):
+        total = 0.0
+        for v, p in atoms:
+            def g(t):
+                return math.exp(-lam * (1.0 + t) / v) * f_B(t)
+
+            for lo, hi in ((0.0, 1.0), (1.0, math.inf)):
+                total += p * quad(g, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        return 2.0 * total
+
+    def oracle(atoms):
+        return brentq(lambda lam: H(lam, atoms) - 1.0, 0.0, 2.0, xtol=1e-14)
+
+    assert abs(malthus_with_variability(B, TWOPOINT) - oracle(TWOPOINT.atoms)) <= 1e-10
+    assert abs(malthus_reference(B, 1.0) - oracle([(1.0, 1.0)])) <= 1e-10
+
+
+def test_solvers_use_no_adaptive_quadrature(tg, monkeypatch):
+    # one quadrature path: every integral against f_B uses the Gauss table
+    def refuse(*args, **kwargs):
+        raise AssertionError("age_model called numerics.integrate")
+
+    monkeypatch.setattr(age_model, "integrate", refuse)
+    law = AlphaFamily(tg, 0.5).law()
+    B = PowerLagRate(0.5, 1.0)
+    malthus_reference(B, 1.0)
+    for rate in (B, ConstantRate(1.0), witness_rate()):
+        malthus_with_variability(rate, law)
+    malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, law, kink_ages=B.kinks)
+    eigen_pair(B, law, np.linspace(0.0, 4.0, 9), np.linspace(0.1, 1.9, 7))
+    dlambda_dalpha(B, AlphaFamily(tg, 0.5))
+    d2lambda_at_zero(B, tg)
 
 
 def test_constant_time_hazard_invariance(tg):
@@ -270,9 +325,11 @@ def test_cv_curve_has_anchor_and_is_sorted(tg):
 
 
 def test_cv_curve_records_row_failures(tg):
-    rows = cv_curve(ConstantRate(1.0), tg, [0.5, 7.0])
+    rows = cv_curve(ConstantRate(1.0), tg, [0.5, 1.5, 7.0])
     bad = [r for r in rows if r.status != "ok"]
-    assert len(bad) == 1 and math.isnan(bad[0].lam) and bad[0].status.startswith("error")
+    assert [r.alpha for r in bad] == [1.5, 7.0]
+    for r in bad:
+        assert math.isnan(r.lam) and r.status.startswith("error: ValueError:")
 
 
 def test_cv_curve_rejects_degenerate_baseline():

@@ -74,6 +74,17 @@ def test_age_curve_window_flags_require_gauss(tmp_path):
         assert main(argv) == 2, flags
 
 
+def test_age_curve_output_is_pinned(tmp_path):
+    # the beta grid of scripts/run_exponent_curves.py, integer and fractional;
+    # the digest guards the age-model values against quadrature changes
+    out = tmp_path / "curve.csv"
+    assert main([
+        "age-curve", "--beta", "0", "0.25", "0.5", "0.75", "1", "2", "7", "--lag", "1",
+        "--alpha", "0.1", "0.5", "1", "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "39a6ae150839c0b4"
+
+
 def test_age_perturb_rows(tmp_path):
     out = tmp_path / "perturb.csv"
     rc = main(["age-perturb", "--b-const", "1.0", "--alphas", "0.2", "0.1", "--out", str(out)])

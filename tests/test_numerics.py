@@ -1,5 +1,7 @@
 """Quadrature, root solving, and the counter-based random stream."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +64,24 @@ def test_root_certificate_brackets_answer():
     assert abs(lam - (math.sqrt(2.0) - 1.0)) < 1e-12
     eps = 1e-6
     assert H(lam - eps) > 1.0 > H(lam + eps)
+
+
+def test_root_releases_the_resolvent():
+    # a resolvent may hold large arrays; nothing may keep it alive after the
+    # solve, not even until the next cyclic garbage collection
+    class Resolvent:
+        def __call__(self, lam):
+            return 2.0 * math.exp(-lam)
+
+    h = Resolvent()
+    ref = weakref.ref(h)
+    gc.disable()
+    try:
+        find_root_decreasing(h, 1.0, DEFAULT_ROOT_TOL)
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_root_never_crossing_raises():
