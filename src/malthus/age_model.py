@@ -7,13 +7,16 @@ population growth exponent lambda solves
 
     2 * iint exp(-lambda a / v) f_B(a) rho(v) dv da = 1.
 
-Every integral against the division-age law goes through one quadrature
-table built per call: composite Gauss-Legendre panels graded toward 0 and
-toward the onset of the support and cut at the kinks of B, with one set of
-weights for f_B (terminal atom included) and one for the survival S.  The
-resolvent is then a single weighted sum over the table nodes and the rate
-nodes of rho; the closed forms of the constant rate serve only as test
-oracles.
+Every age integral uses one 16-point Gauss-Legendre rule on geometrically
+graded panels.  Integrals against the division-age law go through one
+table built per call: panels graded toward 0 and toward the onset of the
+support and cut at the kinks of B, with one set of weights for f_B
+(terminal atom included) and one for the survival S.  The resolvent is
+then a single weighted sum over the table nodes and the rate nodes of rho;
+the closed forms of the constant rate serve only as test oracles.
+Integrals up to each node (the accumulated hazard of the general form)
+come from the rule's antiderivative matrix, and the eigenvector tails
+from a table cut at the user's grid ages.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legval, legvander
 from scipy.special import erf, roots_legendre
 
 from .numerics import (
@@ -286,7 +290,9 @@ class Dirac:
         return self
 
 
-def _gl_on(a: float, b: float, n: int):
+def _gl_on(a, b, n: int = 16):
+    """n-point Gauss-Legendre nodes and weights on [a, b]; with arrays of
+    ends (a column each) one row per interval.  The age model's only rule."""
     x, w = roots_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
@@ -521,25 +527,46 @@ def _panel_edges(end: float, graded: Iterable[float], splits: Iterable[float] = 
     return np.unique(np.concatenate(pieces))
 
 
-def _gauss_panels(edges: np.ndarray):
-    """Nodes and weights of 16-point Gauss-Legendre on every panel of ``edges``."""
-    gx, gw = roots_legendre(16)
-    half = 0.5 * np.diff(edges)
-    nodes = edges[:-1, None] + half[:, None] * (gx[None, :] + 1.0)
-    return nodes.ravel(), (half[:, None] * gw[None, :]).ravel()
+def _antiderivative_matrix() -> np.ndarray:
+    """Q[k, j] = int_{-1}^{x_k} l_j for the Lagrange basis l_j on the Gauss
+    nodes x, with x_16 = 1 appended: row k of Q @ f(x) integrates the
+    interpolant of f from -1 up to x_k, and the last row is the rule itself.
+
+    l_j = sum_m (m + 1/2) w_j P_m(x_j) P_m, exact because the rule
+    integrates degree 31, and the P_m integrate in closed form."""
+    x, w = _gl_on(-1.0, 1.0)
+    int_p = legval(np.append(x, 1.0), legint(np.eye(x.size), lbnd=-1.0))  # [m, k]
+    return np.einsum("mk,m,jm,j->kj", int_p, np.arange(x.size) + 0.5, legvander(x, x.size - 1), w)
 
 
-def _fb_table(B):
+def _cumulative(f: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """int_0^a f at every Gauss node a on the panels ``edges``, from the
+    values f[..., panel, node] there: the earlier panels' sum plus Q.
+    Q is built per call (~1 ms): at import its first Gauss rule would add
+    ~1 MiB of resident memory to every process that imports the package."""
+    part = np.einsum("...pj,kj->...pk", f, _antiderivative_matrix()) * (0.5 * np.diff(edges))[:, None]
+    whole = part[..., -1]
+    return (np.cumsum(whole, axis=-1) - whole)[..., None] + part[..., :-1]
+
+
+def _fb_table(B, ages: Sequence[float] = ()):
     """Quadrature table of the division-age law: nodes a and weights (w, s)
     with  w @ g(a) = int f_B g  (terminal atom included)  and
     s @ g(a) = int_0^inf S g,  both truncated at B.cutoff(TAIL_EPS).
 
     Panels are graded toward 0 and toward the onset of the support and cut
     at the kinks of B; between kinks f_B is smooth, so the kinks of a
-    tabulated hazard need no grading of their own."""
-    start = float(B.support_start)
-    edges = _panel_edges(B.cutoff(TAIL_EPS), {0.0, start}, B.kinks)
-    a, g = _gauss_panels(edges)
+    tabulated hazard need no grading of their own.  Given grid ``ages``, the
+    table is also cut at every age, graded toward the last one and runs to
+    B.cutoff(TAIL_EPS * S(ages[-1])), so the tail past the grid keeps the
+    same relative accuracy."""
+    graded, eps = {0.0, float(B.support_start)}, TAIL_EPS
+    if len(ages):
+        graded.add(float(ages[-1]))
+        eps *= float(B.survival(ages[-1]))
+    edges = _panel_edges(B.cutoff(eps), graded, (*B.kinks, *ages))
+    a, g = _gl_on(edges[:-1, None], edges[1:, None])
+    a, g = a.ravel(), g.ravel()
     w = g * B.density(a)
     s = g * B.survival(a)
     atom = float(B.atom_mass)
@@ -548,12 +575,6 @@ def _fb_table(B):
         w = np.append(w, atom)
         s = np.append(s, 0.0)
     return a, w, s
-
-
-def _fb_integral(B, kernel: Callable[[np.ndarray], np.ndarray]) -> float:
-    """integral of f_B(a) * kernel(a) over the support, terminal atom included."""
-    a, w, _ = _fb_table(B)
-    return float(np.einsum("i,i->", w, kernel(a)))
 
 
 def _resolvent_factory(B, law) -> Callable[[float], float]:
@@ -593,17 +614,6 @@ def malthus_with_variability(B, rho, tol: Tolerance = DEFAULT_ROOT_TOL) -> float
     return find_root_decreasing(_resolvent_factory(B, rho), 1.0, tol)
 
 
-def _cum_along(f: Callable, pts: np.ndarray, sx: np.ndarray, sw: np.ndarray) -> np.ndarray:
-    """Cumulative integral of ``f`` from pts[0] at every point of sorted
-    ``pts``, one 8-node Gauss panel per gap (gaps are chosen small and
-    kink-free by the caller)."""
-    lo, hi = pts[:-1], pts[1:]
-    half = 0.5 * (hi - lo)
-    xs = lo[:, None] + half[:, None] * (sx[None, :] + 1.0)
-    fv = f(xs.ravel()).reshape(xs.shape)
-    return np.concatenate([[0.0], np.cumsum(np.einsum("ij,j->i", fv, sw) * half)])
-
-
 def malthus_general(
     hazard: Callable,
     inv_speed: Callable,
@@ -620,54 +630,36 @@ def malthus_general(
         2 iint hazard * exp(-int_0^a (lambda inv_speed + hazard)) rho dv da = 1,
 
     which reduces to :func:`malthus_with_variability` when hazard = B(a)
-    and inv_speed = 1/v.  The accumulated hazard and inverse speed are
-    tabulated once per rate node on a composite Gauss grid graded toward 0
-    and toward every age of ``kink_ages`` (where an onset (a - lag)^beta
-    sits), so each resolvent evaluation is a single weighted sum.
+    and inv_speed = 1/v.  Every rate node shares one composite Gauss grid on
+    [0, end], graded toward 0 and toward every age of ``kink_ages`` (where
+    an onset (a - lag)^beta sits); ``end`` doubles until every node's
+    accumulated hazard passes ln(1/TAIL_EPS).  The hazard on the last grid
+    tried and the inverse speed are evaluated once per node and accumulated
+    panel by panel through the rule's antiderivative matrix, so each
+    resolvent evaluation is a single weighted sum.
     """
     nodes, weights = rho.quadrature()
-    sx, sw = roots_legendre(8)
     graded = (0.0, *kink_ages)
-    ln_eps = -math.log(TAIL_EPS)
 
-    wh_all, ch_all, cp_all = [], [], []
-    for v, w_v in zip(nodes, weights):
-        v = float(v)
+    def on_grid(fn, a):
+        # fn(a, v) at every rate node: shape (rate node, *a.shape)
+        flat = a.ravel()
+        rows = [np.broadcast_to(np.asarray(fn(flat, float(v)), dtype=float), flat.shape) for v in nodes]
+        return np.stack(rows).reshape(nodes.size, *a.shape)
 
-        def haz(a, v=v):
-            a = np.asarray(a, dtype=float)
-            return np.broadcast_to(np.asarray(hazard(a, v), dtype=float), a.shape)
+    end = 1.0
+    for _ in range(64):
+        edges = _panel_edges(end, graded)
+        t, w_t = _gl_on(edges[:-1, None], edges[1:, None])
+        haz = on_grid(hazard, t)
+        if np.einsum("vpk,pk->v", haz, w_t).min() >= -math.log(TAIL_EPS):
+            break
+        end *= 2.0
+    else:
+        raise ValueError("hazard accumulates no mass")
 
-        def isp(a, v=v):
-            a = np.asarray(a, dtype=float)
-            return np.broadcast_to(np.asarray(inv_speed(a, v), dtype=float), a.shape)
-
-        # grow the domain until the accumulated hazard passes the tail cut
-        hi = 1.0
-        for _ in range(64):
-            edges = _panel_edges(hi, graded)
-            cum = _cum_along(haz, edges, sx, sw)
-            if cum[-1] >= ln_eps:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("hazard accumulates no mass")
-        end = float(edges[max(1, int(np.searchsorted(cum, ln_eps)))])
-
-        panels = _panel_edges(end, graded)
-        t, w_t = _gauss_panels(panels)
-
-        brk = np.unique(np.concatenate([panels, t]))
-        pos = np.searchsorted(brk, t)
-        ch = _cum_along(haz, brk, sx, sw)[pos]
-        cp = _cum_along(isp, brk, sx, sw)[pos]
-        wh_all.append(w_v * w_t * haz(t))
-        ch_all.append(ch)
-        cp_all.append(cp)
-
-    wh = np.concatenate(wh_all)
-    ch = np.concatenate(ch_all)
-    cp = np.concatenate(cp_all)
+    wh = (weights[:, None, None] * w_t * haz).ravel()
+    ch, cp = _cumulative(np.stack([haz, on_grid(inv_speed, t)]), edges).reshape(2, -1)
 
     def H(lam: float) -> float:
         return 2.0 * float(np.einsum("i,i->", wh, np.exp(-lam * cp - ch)))
@@ -714,57 +706,45 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
     v_nodes = np.asarray(v_nodes, dtype=float)
     if a_nodes.ndim != 1 or v_nodes.ndim != 1 or a_nodes.size < 2 or v_nodes.size < 2:
         raise ValueError("need 1-d grids with at least two nodes")
+    if not (np.all(np.isfinite(a_nodes)) and a_nodes[0] >= 0.0 and np.all(np.diff(a_nodes) >= 0.0)):
+        raise ValueError("ages must be finite, non-negative and non-decreasing")
+    if not np.all(np.isfinite(v_nodes) & (v_nodes > 0.0)):
+        raise ValueError("rates must be positive and finite")
+    S_a = B.survival(a_nodes)
+    if np.any(S_a < 1e-250):
+        raise ValueError("grid extends past representable survival")
 
     lam = malthus_with_variability(B, rho, tol)
     nodes, weights = rho.quadrature()
-    end = B.cutoff(TAIL_EPS)
+    ages, inverse = np.unique(a_nodes, return_inverse=True)
+    a_tab, w_tab, s_tab = _fb_table(B, ages)
 
     # kappa:  1 = kappa * int rho(v)/v [int exp(-lam a/v) S(a) da] dv
     # kappa': 1 = kappa kappa' int rho(v)/v [int s exp(-lam s/v) f_B(s) ds] dv
-    a_tab, w_tab, s_tab = _fb_table(B)
     ker = np.einsum("ij,j->i", np.exp(np.multiply.outer(a_tab, -lam / nodes)), weights / nodes)
     kappa = 1.0 / float(np.einsum("i,i->", s_tab, ker))
     kappa_prime = 1.0 / (kappa * float(np.einsum("i,i,i->", w_tab, ker, a_tab)))
 
-    S_a = B.survival(a_nodes)
-    if np.any(S_a < 1e-250):
-        raise ValueError("grid extends past representable survival")
     expo = np.exp(np.multiply.outer(a_nodes, -lam / v_nodes))
     dens = rho.density(v_nodes)
     N = kappa * (dens / v_nodes)[None, :] * expo * S_a[:, None]
 
     # shifted tails G(a, v) = int_a^inf exp(-lam (s - a)/v) f_B(s) ds built by
     # backward recurrence; every factor stays in [0, 1], so phi = kappa' G/S
-    # never under- or overflows even where exp(-lam a/v) itself would.
-    # Each inter-node strip is integrated by composite Gauss panels split at
-    # the hazard kinks, vectorized over the whole v grid at once.
-    gx, gw = roots_legendre(16)
-
-    def strip(x0: float, x1: float) -> np.ndarray:
-        # int_{x0}^{x1} f_B(s) exp(-lam (s - x0)/v) ds for every v
-        cuts = [x0] + [k for k in B.kinks if x0 < k < x1] + [x1]
-        out = np.zeros(v_nodes.size)
-        for p0, p1 in zip(cuts[:-1], cuts[1:]):
-            half = 0.5 * (p1 - p0)
-            xs = p0 + half * (gx + 1.0)
-            fw = B.density(xs) * (gw * half)
-            out += np.einsum("i,ij->j", fw, np.exp(np.multiply.outer(-(lam * (xs - x0)), 1.0 / v_nodes)))
-        return out
-
-    G = np.zeros((a_nodes.size, v_nodes.size))
-    pts = list(a_nodes)
-    acc = np.zeros(v_nodes.size)
-    if end > pts[-1]:
-        edges = np.linspace(pts[-1], end, 33)
-        for j in range(edges.size - 2, -1, -1):
-            acc = strip(edges[j], edges[j + 1]) + np.exp(-lam * (edges[j + 1] - edges[j]) / v_nodes) * acc
-    G[-1] = acc
-    for i in range(a_nodes.size - 2, -1, -1):
-        x0, x1 = pts[i], pts[i + 1]
-        local = strip(x0, x1) if x1 > x0 else 0.0
-        acc = local + np.exp(-lam * (x1 - x0) / v_nodes) * acc
-        G[i] = acc
-    phi = kappa_prime * G / S_a[:, None]
+    # never under- or overflows even where exp(-lam a/v) itself would.  The
+    # table is cut at every grid age, so the strip from each age to the next
+    # (and the tail past the last) is a run of its nodes.
+    first = np.searchsorted(a_tab, ages)  # first table node of every strip
+    s = a_tab[first[0]:]
+    since = s - ages[np.searchsorted(ages, s, side="right") - 1]  # s minus its strip's start
+    strips = np.multiply.outer(since, -lam / v_nodes)
+    np.exp(strips, out=strips)  # in place: the largest array of the call
+    strips *= w_tab[first[0]:, None]
+    G = np.add.reduceat(strips, first - first[0], axis=0)
+    step = np.exp(np.multiply.outer(np.diff(ages), -lam / v_nodes))
+    for i in range(ages.size - 2, -1, -1):
+        G[i] += step[i] * G[i + 1]
+    phi = kappa_prime * G[inverse] / S_a[:, None]
     return EigenPair(lam, a_nodes, v_nodes, N, phi, kappa, kappa_prime)
 
 
@@ -785,19 +765,11 @@ def dlambda_dalpha(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> fl
     nodes, weights = fam.baseline.quadrature()
     m = fam.baseline.mean
     u = fam.alpha * (nodes - m) + m
-
-    def ker_d1(a):
-        a = np.asarray(a, dtype=float)
-        return np.einsum("ij,j->i", np.exp(np.multiply.outer(a, -lam / u)), weights / u) * a
-
-    def ker_d2(a):
-        a = np.asarray(a, dtype=float)
-        w2 = weights * (nodes - m) / (u * u)
-        return np.einsum("ij,j->i", np.exp(np.multiply.outer(a, -lam / u)), w2) * a * lam
-
-    d1 = _fb_integral(B, ker_d1)
-    d2 = _fb_integral(B, ker_d2)
-    return d2 / d1
+    a, w, _ = _fb_table(B)
+    expo = np.exp(np.multiply.outer(a, -lam / u))
+    d1 = np.einsum("i,ij,j->", w * a, expo, weights / u)
+    d2 = np.einsum("i,ij,j->", w * a, expo, weights * (nodes - m) / (u * u)) * lam
+    return float(d2 / d1)
 
 
 def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
@@ -813,17 +785,10 @@ def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
         return 0.0
     m = baseline.mean
     lam = malthus_reference(B, m, tol)
-    s = lam / m
-
-    def ker_den(a):
-        a = np.asarray(a, dtype=float)
-        return (a / m) * np.exp(-s * a)
-
-    def ker_num(a):
-        a = np.asarray(a, dtype=float)
-        return (s * a) * (s * a - 2.0) * np.exp(-s * a)
-
-    return var * _fb_integral(B, ker_num) / _fb_integral(B, ker_den) / (m * m)
+    a, w, _ = _fb_table(B)
+    sa = (lam / m) * a
+    we = w * np.exp(-sa)
+    return var * float(np.einsum("i,i->", we, sa * (sa - 2.0)) / np.einsum("i,i->", we, a / m)) / (m * m)
 
 
 def sign_condition(B, samples: int = 4096) -> str:

@@ -98,8 +98,11 @@ def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, hori
         # (e.g. by a profiler) see every tree
         hats = {"biomass": malthus_hat_biomass, "count": malthus_hat_count}
         return [[hats[e](tree, T) for e in estimators] for T in horizons], tree.living_count(tree.horizon)
-    except Exception as e:
-        raise RuntimeError(f"tree on stream {offset + m} failed: {e}") from e
+    except (ValueError, RuntimeError) as e:
+        # named with its stream and kept in its category, which cv_table
+        # records in-row; any other exception is a defect and propagates
+        kind = ValueError if isinstance(e, ValueError) else RuntimeError
+        raise kind(f"tree on stream {offset + m} failed: {e}") from e
 
 
 def _map_trees(job, m_count: int):
@@ -180,7 +183,7 @@ def cv_table(
             kernel = replace(base.kernel, law=baseline.contract(alpha))
             cfg = replace(base, kernel=kernel, horizon=float(T))
             out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees)))
-        except Exception as e:  # recorded, not fatal
+        except (ValueError, RuntimeError) as e:  # recorded, not fatal
             out.append(CvTableRow(alpha, cv, float(T), None, f"error: {type(e).__name__}: {e}"))
     return out
 

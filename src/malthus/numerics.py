@@ -1,8 +1,9 @@
 """Low-level numerical kernels shared across the package.
 
-Quadrature is adaptive Simpson with pre-splitting at declared kink points.
 Root finding brackets by doubling and then polishes with Brent, with a
-plain bisection fallback.  Random streams are counter based (SplitMix64
+plain bisection fallback.  ``integrate`` (adaptive Simpson, pre-split at
+declared kink points) is on no solver path: the age model integrates with
+Gauss tables of its own.  Random streams are counter based (SplitMix64
 style): every draw is a pure function of (seed, stream_index, key, counter),
 so simulations are reproducible regardless of evaluation order or thread
 count.

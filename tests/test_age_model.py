@@ -177,6 +177,27 @@ def test_solvers_use_no_adaptive_quadrature(tg, monkeypatch):
     d2lambda_at_zero(B, tg)
 
 
+def test_general_solver_non_constant_inverse_speed():
+    # inv_speed = 1/(v (1 + a)) accumulates to ln(1 + a)/v, so the resolvent
+    # is 2 sum_v p_v int f_B(a) (1 + a)^(-lam/v) da; 1/v alone would be
+    # integrated exactly by any rule
+    B = PowerLagRate(2.0, 1.0)
+
+    def H(lam):
+        total = 0.0
+        for v, p in TWOPOINT.atoms:
+            def g(a):
+                return (1.0 + a) ** (-lam / v) * B.density(a)
+
+            for lo, hi in ((1.0, 3.0), (3.0, math.inf)):
+                total += p * quad(g, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        return 2.0 * total
+
+    oracle = brentq(lambda lam: H(lam) - 1.0, 0.01, 5.0, xtol=1e-14)
+    lam = malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / (v * (1.0 + a)), TWOPOINT, kink_ages=B.kinks)
+    assert abs(lam - oracle) <= 1e-10
+
+
 def test_constant_time_hazard_invariance(tg):
     # division hazard c per unit *time* gives exponent c for any rate law
     c = 0.8
@@ -309,6 +330,55 @@ def test_eigen_rejects_degenerate_laws():
         eigen_pair(B, Dirac(1.0), a, np.linspace(0.5, 1.5, 20))
     with pytest.raises(ValueError, match="density"):
         eigen_pair(B, TWOPOINT, a, np.linspace(0.5, 1.5, 20))
+
+
+@pytest.mark.parametrize(
+    "B, a_nodes, v_nodes, a_idx, v_idx",
+    [
+        (PowerLagRate(0.5, 1.0), np.linspace(0.0, 4.0, 9), np.linspace(0.1, 1.9, 7), range(9), range(7)),
+        # the README call, including its last age node
+        (PowerLagRate(2.0, 1.0), np.linspace(0.0, 6.0, 400), np.linspace(1e-3, 1.999, 200),
+         (0, 66, 200, 333, 398, 399), (0, 1, 100, 199)),
+    ],
+    ids=["beta0.5", "readme"],
+)
+def test_eigen_phi_matches_adaptive_quadrature(B, a_nodes, v_nodes, a_idx, v_idx):
+    # phi = kappa' G / S with G(a, v) / S(a) =
+    # int_0^inf exp(-lam t / v) B(a + t) exp(Lambda(a) - Lambda(a + t)) dt,
+    # the onset substituted to an interval end (QUADPACK oracle)
+    pair = eigen_pair(B, _EIG_TG, a_nodes, v_nodes)
+    for i in a_idx:
+        a = a_nodes[i]
+        lo = max(0.0, B.lag - a)
+        for j in v_idx:
+            def g(t):
+                decay = pair.lam * t / v_nodes[j] + B.cumulative(a + t) - B.cumulative(a)
+                return math.exp(-decay) * B.hazard(a + t)
+
+            pieces = ((lo, lo + 1.0), (lo + 1.0, math.inf))
+            tail = sum(quad(g, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x0, x1 in pieces)
+            assert abs(pair.phi[i, j] / pair.kappa_prime / tail - 1.0) <= 1e-10, (a, v_nodes[j])
+
+
+def test_eigen_rejects_malformed_grids():
+    a = np.linspace(0.0, 4.0, 9)
+    v = np.linspace(0.1, 1.9, 7)
+    bad = [
+        (np.stack([a, a]), v),  # not 1-d
+        (a[:1], v),  # fewer than two nodes
+        (a, v[:1]),
+        (a[::-1], v),  # decreasing
+        (np.append(a, np.nan), v),
+        (np.append(a, np.inf), v),
+        (a - 1.0, v),  # negative
+        (a, np.append(v, np.nan)),
+        (a, np.append(v, np.inf)),
+        (a, np.append(v, 0.0)),
+        (a, -v),
+    ]
+    for a_nodes, v_nodes in bad:
+        with pytest.raises(ValueError):
+            eigen_pair(_EIG_B, _EIG_TG, a_nodes, v_nodes)
 
 
 # --- curve table ----------------------------------------------------------------

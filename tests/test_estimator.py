@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TG_CV
+from malthus import estimator
 from malthus.age_model import AlphaFamily, Dirac, TruncatedGaussian
 from malthus.estimator import (
     MalthusEstimate,
@@ -162,6 +163,25 @@ def test_cv_table_records_row_failures():
     assert table[0].estimate is None
     assert table[0].status.startswith("error: ValueError: horizon must be")
     assert table[1].status == "ok"
+
+
+def test_cv_table_keeps_failure_types(monkeypatch):
+    # a tree's ValueError is recorded in-row under its own type and stream;
+    # any other exception is a defect and propagates
+    def fail(kind):
+        def simulate(config, stream):
+            raise kind("boom")
+
+        return simulate
+
+    base = make_config(alpha=1.0, horizon=5.0)
+    monkeypatch.setattr(estimator, "simulate_tree", fail(ValueError))
+    [row] = cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
+    assert row.estimate is None
+    assert row.status.startswith("error: ValueError: tree on stream 0 failed: boom")
+    monkeypatch.setattr(estimator, "simulate_tree", fail(TypeError))
+    with pytest.raises(TypeError):
+        cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
 
 
 def test_cv_table_alpha_zero_row_is_degenerate():
