@@ -33,7 +33,7 @@ from .age_model import (
     malthus_reference,
     malthus_with_variability,
 )
-from .estimator import cv_table, estimator_sd_comparison
+from .estimator import _worker_count, cv_table, estimator_sd_comparison
 from .numerics import RngStream
 from .size_sim import (
     AutoRegressive,
@@ -249,6 +249,14 @@ def _sim_config_inner(items: dict, horizon: float, alpha: Optional[float]) -> Si
     )
 
 
+def _check_workers() -> None:
+    """A malformed MALTHUS_THREADS is a config error, reported before any tree runs."""
+    try:
+        _worker_count()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _parse_rows(text: str) -> list:
     rows = []
     for part in text.replace(";", ",").split(","):
@@ -327,6 +335,7 @@ def _cmd_size_mc(args) -> int:
     # validate every row's config before simulating anything
     for alpha, T in rows_spec:
         _sim_config(items, T, alpha)
+    _check_workers()
     # cv_table contracts the uncontracted baseline row by row
     table = cv_table(_sim_config(items, rows_spec[0][1]), rows_spec, m_trees, seed, estimator)
     out_rows = []
@@ -355,6 +364,7 @@ def _cmd_size_mc(args) -> int:
 def _cmd_estimator_compare(args) -> int:
     items = _read_config(args.config, args.set)
     cfg = _sim_config(items, max(args.horizons), args.alpha)
+    _check_workers()
     rows = estimator_sd_comparison(cfg, args.horizons, args.m, args.seed)
     _write_csv(args.out, ["T", "sd_biomass", "sd_count"], rows)
     return 0

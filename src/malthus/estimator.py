@@ -83,10 +83,17 @@ def malthus_hat_count(tree: TreeResult, T: Optional[float] = None, t1: Optional[
 
 
 def _worker_count() -> int:
+    """Worker processes from MALTHUS_THREADS (unset or blank: 1)."""
     env = os.environ.get("MALTHUS_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"MALTHUS_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, m: int):
@@ -105,8 +112,7 @@ def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, hori
         raise kind(f"tree on stream {offset + m} failed: {e}") from e
 
 
-def _map_trees(job, m_count: int):
-    workers = _worker_count()
+def _map_trees(job, m_count: int, workers: int):
     if workers <= 1:
         return [job(m) for m in range(m_count)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -132,8 +138,8 @@ def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: flo
     )
 
 
-def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset: int) -> MalthusEstimate:
-    rows = _map_trees(partial(_tree_job, config, seed, offset, (estimator,), (config.horizon,)), m_trees)
+def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset: int, workers: int) -> MalthusEstimate:
+    rows = _map_trees(partial(_tree_job, config, seed, offset, (estimator,), (config.horizon,)), m_trees, workers)
     per_tree = np.asarray([r[0][0][0] for r in rows])
     pops = np.asarray([r[1] for r in rows])
     return _summarize(config, per_tree, pops, config.horizon)
@@ -146,7 +152,7 @@ def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "bi
         raise ValueError("need at least 2 trees")
     if estimator not in ("biomass", "count"):
         raise ValueError("estimator must be 'biomass' or 'count'")
-    return _estimate(config, m_trees, seed, estimator, 0)
+    return _estimate(config, m_trees, seed, estimator, 0, _worker_count())
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,10 @@ def cv_table(
     (alpha, T) simulates ``baseline.contract(alpha)`` up to T, and its cv
     is alpha times the baseline CV.  Row i runs on streams
     (seed, i*m .. i*m + m - 1), so the table is reproducible row-by-row.
-    Failures are recorded in-row with their exception type.
+    Failures are recorded in-row with their exception type; a malformed
+    MALTHUS_THREADS raises before any row runs.
     """
+    workers = _worker_count()
     baseline = base.kernel.law
     out = []
     for i, (alpha, T) in enumerate(rows):
@@ -182,7 +190,7 @@ def cv_table(
         try:
             kernel = replace(base.kernel, law=baseline.contract(alpha))
             cfg = replace(base, kernel=kernel, horizon=float(T))
-            out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees)))
+            out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees, workers)))
         except (ValueError, RuntimeError) as e:  # recorded, not fatal
             out.append(CvTableRow(alpha, cv, float(T), None, f"error: {type(e).__name__}: {e}"))
     return out
@@ -204,7 +212,7 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     top = max(horizons)
     if not (top <= config.horizon):
         config = replace(config, horizon=top)
-    rows = _map_trees(partial(_tree_job, config, seed, 0, ("biomass", "count"), horizons), m_trees)
+    rows = _map_trees(partial(_tree_job, config, seed, 0, ("biomass", "count"), horizons), m_trees, _worker_count())
     arr = np.asarray([r[0] for r in rows])  # (m, len(horizons), 2)
     out = []
     for j, T in enumerate(horizons):

@@ -335,6 +335,25 @@ class TreeResult:
 # ---------------------------------------------------------------------------
 
 
+def _redraw(draw, ok, bases: np.ndarray, dom: int, budget: int):
+    """First accepted draw of every cell, by rejection.
+
+    Attempt 0 runs on the whole frontier with one broadcast counter; attempt
+    k (counter ``dom + k``) runs only on the cells rejected so far.  Returns
+    the draws and the indices of the cells still rejected after ``budget``
+    attempts.
+    """
+    x = draw(bases, np.uint64(dom))
+    redo = np.flatnonzero(~ok(x))
+    for attempt in range(1, budget):
+        if redo.size == 0:
+            break
+        y = draw(bases[redo], np.uint64(dom + attempt))
+        x[redo] = y
+        redo = redo[~ok(y)]
+    return x, redo
+
+
 def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
     """Vectorized per-cell rate draws; rejection for the Gaussian window."""
     n = bases.size
@@ -342,27 +361,24 @@ def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
     if law.is_degenerate or lo == hi:
         return np.full(n, law.mean)
     if isinstance(law, UniformLaw):
-        u = uniforms_at(bases, np.full(n, _DOM_RATE, dtype=np.uint64))
+        u = uniforms_at(bases, np.uint64(_DOM_RATE))
         return lo + u * (hi - lo)
     if isinstance(law, DiscreteMixture):
-        u = uniforms_at(bases, np.full(n, _DOM_RATE, dtype=np.uint64))
+        u = uniforms_at(bases, np.uint64(_DOM_RATE))
         vs = np.asarray([v for v, _ in law.atoms])
         cw = np.cumsum([w for _, w in law.atoms])
         return vs[np.searchsorted(cw, u, side="right")]
     if isinstance(law, TruncatedGaussian):
-        out = np.empty(n)
-        alive = np.arange(n)
-        for attempt in range(_RATE_BUDGET):
-            if alive.size == 0:
-                return out
-            u = open_uniforms_at(bases[alive], np.full(alive.size, _DOM_RATE + attempt, dtype=np.uint64))
-            v = law.mean + law.sigma_eta * ndtri(u)
-            ok = (v >= lo) & (v <= hi)
-            out[alive[ok]] = v[ok]
-            alive = alive[~ok]
-        raise RuntimeError(
-            f"rate rejection budget exhausted for {alive.size} cells; window [{lo}, {hi}] too improbable"
+        v, redo = _redraw(
+            lambda b, c: law.mean + law.sigma_eta * ndtri(open_uniforms_at(b, c)),
+            lambda v: (v >= lo) & (v <= hi),
+            bases, _DOM_RATE, _RATE_BUDGET,
         )
+        if redo.size:
+            raise RuntimeError(
+                f"rate rejection budget exhausted for {redo.size} cells; window [{lo}, {hi}] too improbable"
+            )
+        return v
     raise TypeError(f"cannot sample from rate law {type(law).__name__}")
 
 
@@ -430,20 +446,14 @@ def _division_sizes(config: SimConfig, bases: np.ndarray, x_b: np.ndarray, v: np
     div = config.division
     if div.mode == "unit_time" and not isinstance(config.growth, Linear):
         return _division_sizes_thinning(div, bases, x_b, v)
-    out = np.empty(bases.size)
-    alive = np.arange(bases.size)
-    for attempt in range(_REDRAW_BUDGET):
-        u = uniforms_at(bases[alive], np.full(alive.size, _DOM_SIZE + attempt, dtype=np.uint64))
-        ok = u > 0.0  # a zero draw would mean dividing at birth size; redrawn
-        idx = alive[ok]
-        if div.mode == "unit_size":
-            out[idx] = sample_division_size(div, x_b[idx], u[ok])
-        else:  # linear growth: the hazard per unit size is B/v, so E scales by v
-            out[idx] = _inverse_from(div, x_b[idx], -np.log1p(-u[ok]) * v[idx])
-        alive = alive[~ok]
-        if alive.size == 0:
-            return out
-    raise RuntimeError("division-size resampling budget exhausted")
+    # a zero draw would mean dividing at birth size; redrawn
+    u, redo = _redraw(uniforms_at, lambda u: u > 0.0, bases, _DOM_SIZE, _REDRAW_BUDGET)
+    if redo.size:
+        raise RuntimeError("division-size resampling budget exhausted")
+    if div.mode == "unit_size":
+        return sample_division_size(div, x_b, u)
+    # linear growth: the hazard per unit size is B/v, so E scales by v
+    return _inverse_from(div, x_b, -np.log1p(-u) * v)
 
 
 def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -452,33 +462,43 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     Envelope freezes the 1/s factor at the birth size; candidates advance by
     the envelope's closed-form inverse and are accepted with probability
     x_b/s, the exact hazard ratio.
+
+    Each pass draws the next K attempts of every cell not yet accepted, with
+    K <= n / alive so the block never outgrows the frontier.  Attempt k of a
+    cell is a pure function of (cell base, k), and the envelope walk is one
+    sequential ``np.add.accumulate`` along the block, so a block gives the
+    same bits as K single attempts; draws past a cell's first acceptance
+    are discarded.
     """
     n = bases.size
-    cum = div.cumulative(x_b)  # envelope state, in cumulative-B coordinates
     out = np.empty(n)
-    alive = np.arange(n)
-    for k in range(_THINNING_BUDGET):
-        m = alive.size
-        if m == 0:
-            return out
-        cnt = np.full(m, _DOM_SIZE + 2 * k, dtype=np.uint64)
-        E = -np.log(open_uniforms_at(bases[alive], cnt))
-        cum[alive] = cum[alive] + v[alive] * x_b[alive] * E
-        cand = div.inverse_cumulative(cum[alive])
-        u2 = uniforms_at(bases[alive], cnt + np.uint64(1))
-        accept = u2 * cand < x_b[alive]
-        out[alive[accept]] = cand[accept]
-        alive = alive[~accept]
-    raise RuntimeError(
-        f"thinning budget exhausted for {alive.size} cells (birth sizes near {x_b[alive][:3]}, rates near {v[alive][:3]})"
-    )
+    idx = np.arange(n)  # cells not yet accepted, and their state:
+    b, xb, step = bases, x_b, v * x_b
+    cum = div.cumulative(x_b)  # envelope state, in cumulative-B coordinates
+    k = 0
+    while idx.size:
+        if k == _THINNING_BUDGET:
+            raise RuntimeError(
+                f"thinning budget exhausted for {idx.size} cells (birth sizes near {x_b[idx][:3]}, rates near {v[idx][:3]})"
+            )
+        K = min(64, n // idx.size, _THINNING_BUDGET - k)
+        cnt = np.arange(_DOM_SIZE + 2 * k, _DOM_SIZE + 2 * (k + K), 2, dtype=np.uint64)
+        E = -np.log(open_uniforms_at(b[:, None], cnt))
+        walk = np.add.accumulate(np.column_stack([cum, step[:, None] * E]), axis=1)
+        cand = div.inverse_cumulative(walk[:, 1:])
+        accept = uniforms_at(b[:, None], cnt + np.uint64(1)) * cand < xb[:, None]
+        hit = accept.any(axis=1)
+        out[idx[hit]] = cand[hit, accept[hit].argmax(axis=1)]
+        miss = ~hit
+        idx, b, xb, step, cum = idx[miss], b[miss], xb[miss], step[miss], walk[miss, -1]
+        k += K
+    return out
 
 
 def _split_fractions(split, bases: np.ndarray) -> np.ndarray:
-    n = bases.size
     if isinstance(split, Symmetric):
-        return np.full(n, 0.5)
-    u = uniforms_at(bases, np.full(n, _DOM_SPLIT, dtype=np.uint64))
+        return np.full(bases.size, 0.5)
+    u = uniforms_at(bases, np.uint64(_DOM_SPLIT))
     return split.eps + (1.0 - 2.0 * split.eps) * u
 
 

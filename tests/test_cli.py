@@ -172,6 +172,17 @@ def test_size_mc_config_errors(tmp_path):
     assert main(["size-mc", "--config", bad, "--out", out]) == 2
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys, threads):
+    # exit code 2 before any tree runs, not a table of error rows
+    monkeypatch.setenv("MALTHUS_THREADS", threads)
+    out = tmp_path / "x.csv"
+    assert main(["size-mc", "--set", "rows=0.4:4,0.2:4", "--set", "M=2", "--out", str(out)]) == 2
+    assert main(["estimator-compare", "--horizons", "4", "--m", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("MALTHUS_THREADS must be a positive integer") == 2
+
+
 def test_size_mc_alpha_zero_first_row_keeps_baseline(tmp_path):
     # the table's baseline is the configured law, not the first row's law
     out = tmp_path / "t.csv"

@@ -184,6 +184,24 @@ def test_cv_table_keeps_failure_types(monkeypatch):
         cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_malformed_thread_count_raises_before_any_tree(monkeypatch, threads):
+    # resolved once per call, so a malformed value never becomes an in-row error
+    def refuse(config, stream):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr(estimator, "simulate_tree", refuse)
+    monkeypatch.setenv("MALTHUS_THREADS", threads)
+    base = make_config(alpha=1.0, horizon=5.0)
+    for call in (
+        lambda: cv_table(base, [(0.4, 5.0), (0.2, 4.0)], m_trees=3, seed=9),
+        lambda: monte_carlo(base, m_trees=3, seed=9),
+        lambda: estimator_sd_comparison(base, [4.0, 5.0], m_trees=3, seed=9),
+    ):
+        with pytest.raises(ValueError, match=f"MALTHUS_THREADS must be a positive integer, got '{threads}'"):
+            call()
+
+
 def test_cv_table_alpha_zero_row_is_degenerate():
     base = make_config(alpha=1.0, horizon=5.0)
     [row] = cv_table(base, [(0.0, 5.0)], m_trees=3, seed=2)

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 from conftest import TG_CV
 from malthus.age_model import AlphaFamily, Dirac, TruncatedGaussian, UniformLaw
-from malthus.numerics import RngStream, cell_base
+from malthus import size_sim
+from malthus.numerics import RngStream, cell_base, open_uniforms_at, uniforms_at
 from malthus.size_sim import (
     AutoRegressive,
     DrawnFromKernel,
@@ -27,7 +29,7 @@ from malthus.size_sim import (
     sample_division_size,
     simulate_tree,
 )
-from malthus.size_sim import _child_rates, _division_sizes
+from malthus.size_sim import _DOM_RATE, _DOM_SIZE, _child_rates, _division_sizes, _draw_rates
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
 
@@ -131,6 +133,155 @@ def test_sample_growth_rate_kernels():
     # autoregressive pull toward the parent
     child = _child_rates(AutoRegressive(law, 0.9), cell_bases(3, 1, 500), np.full(500, 1.4))
     assert abs(np.mean(child) - (0.9 * 1.4 + 0.1 * 1.0)) < 0.02
+
+
+# --- rejection loops: per-attempt references, budgets, pass counts ---------------
+
+
+def per_attempt_thinning(div, bases, x_b, v):
+    """Thinning one attempt per loop iteration, the reference for the blocked
+    sampler; returns the division sizes and each cell's accepted attempt."""
+    n = bases.size
+    cum = div.cumulative(x_b)
+    out = np.empty(n)
+    first = np.full(n, -1)
+    alive = np.arange(n)
+    k = 0
+    while alive.size:
+        cnt = np.full(alive.size, _DOM_SIZE + 2 * k, dtype=np.uint64)
+        E = -np.log(open_uniforms_at(bases[alive], cnt))
+        cum[alive] = cum[alive] + v[alive] * x_b[alive] * E
+        cand = div.inverse_cumulative(cum[alive])
+        accept = uniforms_at(bases[alive], cnt + np.uint64(1)) * cand < x_b[alive]
+        out[alive[accept]] = cand[accept]
+        first[alive[accept]] = k
+        alive = alive[~accept]
+        k += 1
+    return out, first
+
+
+def per_attempt_rates(law, bases):
+    """Truncated-Gaussian rates one attempt per loop iteration; returns the
+    rates and each cell's accepted attempt."""
+    lo, hi = law.support
+    out = np.empty(bases.size)
+    first = np.full(bases.size, -1)
+    alive = np.arange(bases.size)
+    attempt = 0
+    while alive.size:
+        u = open_uniforms_at(bases[alive], np.full(alive.size, _DOM_RATE + attempt, dtype=np.uint64))
+        v = law.mean + law.sigma_eta * ndtri(u)
+        ok = (v >= lo) & (v <= hi)
+        out[alive[ok]] = v[ok]
+        first[alive[ok]] = attempt
+        alive = alive[~ok]
+        attempt += 1
+    return out, first
+
+
+def thinning_inputs(seed, n_typical, n_small, small):
+    """Birth sizes around x0 plus a few far below it, whose cells need
+    hundreds of attempts; rates in [0.3, 2.5]."""
+    rng = np.random.default_rng(seed)
+    x_b = np.concatenate([rng.uniform(0.3, 3.0, n_typical), small * rng.uniform(1.0, 2.0, n_small)])
+    rng.shuffle(x_b)
+    return cell_bases(seed, 1, x_b.size), x_b, rng.uniform(0.3, 2.5, x_b.size)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 400),
+    st.integers(1, 6),
+    st.floats(0.02, 0.1),
+    st.sampled_from([(1.0, 2.0), (0.5, 3.0), (1.0, 1.0)]),
+)
+@example(seed=3, n_typical=400, n_small=2, small=0.02, shape=(1.0, 2.0))
+@settings(deadline=None, max_examples=30)
+def test_thinning_blocks_match_per_attempt_loop(seed, n_typical, n_small, small, shape):
+    div = SizeDivisionRate(*shape, "unit_time")
+    bases, x_b, v = thinning_inputs(seed, n_typical, n_small, small)
+    expect, _ = per_attempt_thinning(div, bases, x_b, v)
+    assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 500), st.floats(0.05, 0.5), st.floats(0.5, 2.0))
+@settings(deadline=None, max_examples=30)
+def test_rate_redraws_match_per_attempt_loop(seed, n, width, sigma):
+    # the window keeps 2-30% of the Gaussian: most first draws are rejected
+    law = TruncatedGaussian(1.0 - 0.5 * width, 1.0 + 0.5 * width, sigma)
+    bases = cell_bases(seed, 2, n)
+    expect, _ = per_attempt_rates(law, bases)
+    assert np.array_equal(_draw_rates(law, bases), expect)
+
+
+def test_thinning_budget_edge(monkeypatch):
+    div = SizeDivisionRate(1.0, 2.0, "unit_time")
+    bases, x_b, v = thinning_inputs(5, 300, 3, 0.03)
+    expect, first = per_attempt_thinning(div, bases, x_b, v)
+    budget = int(first.max())  # the last cell is accepted at attempt index `budget`
+    assert budget > 64 and budget % 64 and np.count_nonzero(first == budget) == 1
+    monkeypatch.setattr(size_sim, "_THINNING_BUDGET", budget)
+    with pytest.raises(RuntimeError, match="thinning budget exhausted for 1 cells"):
+        _division_sizes(make_config(division=div), bases, x_b, v)
+    monkeypatch.setattr(size_sim, "_THINNING_BUDGET", budget + 1)
+    assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
+
+
+def test_rate_budget_edge(monkeypatch):
+    law = TruncatedGaussian(0.95, 1.05, 1.0)
+    bases = cell_bases(6, 0, 200)
+    expect, first = per_attempt_rates(law, bases)
+    budget = int(first.max())
+    assert budget > 1 and np.count_nonzero(first == budget) == 1
+    monkeypatch.setattr(size_sim, "_RATE_BUDGET", budget)
+    with pytest.raises(RuntimeError, match="rate rejection budget exhausted for 1 cells"):
+        _draw_rates(law, bases)
+    monkeypatch.setattr(size_sim, "_RATE_BUDGET", budget + 1)
+    assert np.array_equal(_draw_rates(law, bases), expect)
+
+
+def test_redraw_budget_edge(monkeypatch):
+    # zero uniforms never occur in practice: cells with an even base draw
+    # zero on their first 5 attempts, so attempt index 5 is their first valid one
+    def zero_first_five(base, counters):
+        u = uniforms_at(base, counters)
+        early = np.asarray(counters, dtype=np.uint64) < np.uint64(_DOM_SIZE + 5)
+        return np.where(early & (base % np.uint64(2) == 0), 0.0, u)
+
+    div = SizeDivisionRate(1.0, 2.0, "unit_size")
+    bases = cell_bases(7, 0, 50)
+    x_b = np.full(50, 1.5)
+    even = bases % np.uint64(2) == 0
+    assert 0 < np.count_nonzero(even) < 50
+    u = np.where(even, uniforms_at(bases, np.uint64(_DOM_SIZE + 5)), uniforms_at(bases, np.uint64(_DOM_SIZE)))
+    monkeypatch.setattr(size_sim, "uniforms_at", zero_first_five)
+    monkeypatch.setattr(size_sim, "_REDRAW_BUDGET", 5)
+    # both inverse transforms: per unit size, and per unit time under linear growth
+    for cfg in (make_config(division=div), make_config(division=SizeDivisionRate(1.0, 2.0, "unit_time"), growth=Linear())):
+        with pytest.raises(RuntimeError, match="division-size resampling budget exhausted"):
+            _division_sizes(cfg, bases, x_b, np.ones(50))
+    monkeypatch.setattr(size_sim, "_REDRAW_BUDGET", 6)
+    got = _division_sizes(make_config(division=div), bases, x_b, np.ones(50))
+    assert np.array_equal(got, sample_division_size(div, x_b, u))
+
+
+def test_thinning_passes_stay_few(monkeypatch):
+    # structural speed guard, no timing: each pass draws a block of attempts
+    # for every cell not yet accepted, so birth sizes far below x0 cost a
+    # few passes, where one attempt per pass takes 293
+    calls = []
+
+    def counting(base, counters):
+        u = open_uniforms_at(base, counters)
+        calls.append(u.size)
+        return u
+
+    monkeypatch.setattr(size_sim, "open_uniforms_at", counting)
+    n = 1000
+    div = SizeDivisionRate(1.0, 2.0, "unit_time")
+    _division_sizes(make_config(division=div), cell_bases(1, 0, n), np.geomspace(0.05, 2.0, n), np.ones(n))
+    assert len(calls) <= 24
+    assert calls[0] == n and max(calls) <= n  # a block never outgrows the frontier
 
 
 # --- whole-tree invariants -------------------------------------------------------
