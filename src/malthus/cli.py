@@ -18,6 +18,8 @@ import math
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .age_model import (
     AlphaFamily,
@@ -65,10 +67,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    data = ("\n".join(lines) + "\n").encode()
+    return _write_lines(path, header, [",".join(_fmt(x) for x in row) for row in rows])
+
+
+def _write_lines(path: str, header: Sequence[str], lines: Sequence[str]) -> bytes:
+    data = ("\n".join([",".join(header), *lines]) + "\n").encode()
     with open(path, "wb") as f:
         f.write(data)
     return data
@@ -374,10 +377,13 @@ def _cmd_tree_dump(args) -> int:
     items = _read_config(args.config, args.set)
     cfg = _sim_config(items, args.horizon, args.alpha)
     tree = simulate_tree(cfg, RngStream(args.seed, args.stream))
-    rows = []
-    for c in tree.cells():
-        rows.append((c.path, c.parent_path if c.parent_path is not None else "", c.b, c.zeta, c.xi, c.tau, c.d))
-    _write_csv(args.out, ["id_path", "parent_path", "b", "zeta", "xi", "tau", "d"], rows)
+    # one % per row over tolist() scalars: the same text as _fmt, cell by cell
+    paths = tree.paths()
+    parent_paths = np.where(tree.parent >= 0, paths[tree.parent], b"")
+    columns = [np.char.decode(paths, "ascii").tolist(), np.char.decode(parent_paths, "ascii").tolist()]
+    columns += [getattr(tree, name).tolist() for name in ("b", "zeta", "xi", "tau", "d")]
+    row = "%s,%s" + ("," + _FMT) * 5
+    _write_lines(args.out, ["id_path", "parent_path", "b", "zeta", "xi", "tau", "d"], [row % r for r in zip(*columns)])
     return 0
 
 

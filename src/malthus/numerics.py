@@ -1,7 +1,8 @@
 """Low-level numerical kernels shared across the package.
 
-Root finding brackets by doubling and then polishes with Brent, with a
-plain bisection fallback.  ``integrate`` (adaptive Simpson, pre-split at
+Root finding brackets by doubling and then polishes with Brent's method
+(implemented here, step for step as scipy's ``brentq``), with a plain
+bisection fallback.  ``integrate`` (adaptive Simpson, pre-split at
 declared kink points) is on no solver path: the age model integrates with
 Gauss tables of its own.  Random streams are counter based (SplitMix64
 style): every draw is a pure function of (seed, stream_index, key, counter),
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Tolerance",
@@ -144,6 +144,60 @@ def integrate(
     )
 
 
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The steps, tests and evaluation count follow scipy's ``brentq``
+    exactly, so the result is the same float: f is evaluated at a and b,
+    then once per iteration.  Raises ValueError on a bracket without a
+    sign change or a NaN value, RuntimeError after ``maxiter`` iterations.
+    """
+
+    def ev(x):
+        y = f(x)
+        if math.isnan(y):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return y
+
+    xpre, xcur = a, b
+    fpre, fcur = ev(xpre), ev(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = ev(xcur)
+    raise RuntimeError(f"Brent did not converge after {maxiter} iterations, value is {xcur}")
+
+
 def find_root_decreasing(
     h: Callable[[float], float],
     target: float,
@@ -177,28 +231,19 @@ def find_root_decreasing(
     if fhi == 0.0:
         return hi
 
-    # brentq wraps its callable in a function that sits in a reference
-    # cycle, which would keep h, and the arrays it holds, alive until the
-    # next cyclic collection; reaching h through a list emptied afterwards
-    # frees it as soon as the caller drops it
-    ref = [h]
     try:
-        x = float(
-            brentq(
-                lambda s: float(ref[0](s)) - target,
-                lo,
-                hi,
-                xtol=1e-15 * max(1.0, hi),
-                rtol=1e-15,
-                maxiter=max(tol.max_iter, 100),
-            )
+        x = _brent(
+            lambda s: float(h(s)) - target,
+            lo,
+            hi,
+            xtol=1e-15 * max(1.0, hi),
+            rtol=1e-15,
+            maxiter=max(tol.max_iter, 100),
         )
         if abs(float(h(x)) - target) <= tol.abs_tol:
             return x
-    except (ValueError, RuntimeError):  # brentq's failures; NonConvergenceError is a RuntimeError
+    except (ValueError, RuntimeError):  # _brent's failures; NonConvergenceError is a RuntimeError
         pass
-    finally:
-        ref.clear()
 
     # mandatory bisection fallback on the residual criterion
     for _ in range(max(tol.max_iter, 200)):

@@ -42,7 +42,7 @@ __all__ = [
     "sample_division_size",
     "lifetime",
     "simulate_tree",
-    "living_at",
+    "tree_measures",
     "biomass_at",
 ]
 
@@ -255,6 +255,11 @@ class CellRecord:
     d: float  # division time = b + zeta
 
 
+def _check_time(t: float, horizon: float) -> None:
+    if t < 0.0 or t > horizon:
+        raise ValueError("t must lie in [0, horizon]; the tree is incomplete beyond")
+
+
 class TreeResult:
     """Immutable record of all cells born before the horizon.
 
@@ -291,8 +296,7 @@ class TreeResult:
         return self.config.horizon
 
     def living_mask(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.horizon:
-            raise ValueError("t must lie in [0, horizon]; the tree is incomplete beyond")
+        _check_time(t, self.horizon)
         return (self.b <= t) & (t < self.d)
 
     def living_count(self, t: float) -> int:
@@ -303,31 +307,31 @@ class TreeResult:
             mask = self.living_mask(t)
         return self.config.growth.size_at(self.xi[mask], self.tau[mask], t - self.b[mask])
 
-    def path_of(self, i: int) -> str:
-        bits = []
-        i = int(i)
-        while i > 0:
-            bits.append(self.bit[i])
-            i = int(self.parent[i])
-        return "".join(str(int(x)) for x in reversed(bits))
+    def paths(self) -> np.ndarray:
+        """Every cell's {0,1}-path from the root, as fixed-width bytes
+        (the root's is b"")."""
+        parent = self.parent
+        n = parent.size
+        # depth by pointer jumping: depth[i] stays the hops from i to up[i]
+        up = np.where(parent < 0, np.arange(n), parent)  # the root points to itself
+        depth = (parent >= 0).astype(np.int64)
+        while np.any(up[up] != up):
+            depth, up = depth + depth[up], up[up]
+        width = int(depth[-1])  # breadth-first order: depth never decreases
+        chars = np.zeros((n, max(width, 1)), dtype=np.uint8)
+        starts = np.searchsorted(depth, np.arange(1, width + 2))
+        for g in range(1, width + 1):
+            rows = slice(starts[g - 1], starts[g])
+            block = chars[parent[rows]]
+            block[:, g - 1] = ord("0") + self.bit[rows]
+            chars[rows] = block
+        return chars.view(f"S{chars.shape[1]}").ravel()
 
     def cells(self) -> Iterator[CellRecord]:
-        paths = [""] * len(self)
-        for i in range(len(self)):
-            p = int(self.parent[i])
-            if p >= 0:
-                paths[i] = paths[p] + str(int(self.bit[i]))
-        for i in range(len(self)):
-            p = int(self.parent[i])
-            yield CellRecord(
-                paths[i],
-                paths[p] if p >= 0 else None,
-                float(self.b[i]),
-                float(self.zeta[i]),
-                float(self.xi[i]),
-                float(self.tau[i]),
-                float(self.d[i]),
-            )
+        paths = np.char.decode(self.paths(), "ascii").tolist()
+        columns = zip(self.b.tolist(), self.zeta.tolist(), self.xi.tolist(), self.tau.tolist(), self.d.tolist())
+        for path, p, (b, zeta, xi, tau, d) in zip(paths, self.parent.tolist(), columns):
+            yield CellRecord(path, paths[p] if p >= 0 else None, b, zeta, xi, tau, d)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +342,26 @@ class TreeResult:
 def _redraw(draw, ok, bases: np.ndarray, dom: int, budget: int):
     """First accepted draw of every cell, by rejection.
 
-    Attempt 0 runs on the whole frontier with one broadcast counter; attempt
-    k (counter ``dom + k``) runs only on the cells rejected so far.  Returns
-    the draws and the indices of the cells still rejected after ``budget``
-    attempts.
+    Attempt 0 runs on the whole frontier with one broadcast counter.  Each
+    later pass draws the next K attempts (counters ``dom + k`` ..
+    ``dom + k + K - 1``) of every cell rejected so far, with K <= n / alive
+    as in thinning, and keeps each cell's first accepted one; attempt k of
+    a cell is a pure function of (cell base, k), so a block gives the same
+    bits as K single attempts.  Returns the draws and the indices of the
+    cells still rejected after ``budget`` attempts.
     """
+    n = bases.size
     x = draw(bases, np.uint64(dom))
     redo = np.flatnonzero(~ok(x))
-    for attempt in range(1, budget):
-        if redo.size == 0:
-            break
-        y = draw(bases[redo], np.uint64(dom + attempt))
-        x[redo] = y
-        redo = redo[~ok(y)]
+    k = 1
+    while redo.size and k < budget:
+        K = min(64, n // redo.size, budget - k)
+        y = draw(bases[redo, None], np.arange(dom + k, dom + k + K, dtype=np.uint64))
+        good = ok(y)
+        hit = good.any(axis=1)
+        x[redo[hit]] = y[hit, good[hit].argmax(axis=1)]
+        redo = redo[~hit]
+        k += K
     return x, redo
 
 
@@ -512,25 +523,20 @@ def _child_rates(kernel, bases: np.ndarray, parent_rates: np.ndarray) -> np.ndar
     return fresh
 
 
-def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
-    """Expand one division tree breadth-first up to the horizon.
+def _generations(config: SimConfig, rng: RngStream) -> Iterator[tuple]:
+    """Expand one division tree breadth-first up to the horizon, one
+    generation at a time.
 
     Every cell with division time before the horizon gets exactly two
-    children; cells dividing at or after it are recorded as leaves and not
-    expanded.  All draws are keyed by the cell's path hash, so the result
-    is deterministic for a given (config, seed, stream_index).
+    children; cells dividing at or after it are leaves and not expanded.
+    Yields each generation's (parent, bit, b, zeta, xi, tau, d,
+    division_size) arrays, the columns of :class:`TreeResult`, with parent
+    indices counted over the whole tree.  Only the current generation is
+    held.  All draws are keyed by the cell's path hash, so the stream is
+    deterministic for a given (config, seed, stream_index).
     """
     T = config.horizon
     stream_base = rng.base
-
-    parents = []
-    bits = []
-    b_parts = []
-    zeta_parts = []
-    xi_parts = []
-    tau_parts = []
-    d_parts = []
-    s_parts = []
 
     # frontier state
     keys = np.asarray([_ROOT_KEY])
@@ -545,33 +551,22 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
         f_tau = _draw_rates(config.kernel.law, bases)
 
     total = 0
-    next_index = 0
     while f_b.size:
-        n = f_b.size
-        total += n
+        first = total
+        total += f_b.size
         if total > config.max_cells:
             raise RuntimeError(
                 f"horizon too large: more than {config.max_cells} cells before t = {T}"
             )
         s = _division_sizes(config, bases, f_xi, f_tau)
-        zeta = lifetime(config.growth, f_xi, s, f_tau)
+        zeta = np.asarray(lifetime(config.growth, f_xi, s, f_tau))
         d = f_b + zeta
+        yield f_parent, f_bit, f_b, zeta, f_xi, f_tau, d, s
 
-        parents.append(f_parent)
-        bits.append(f_bit)
-        b_parts.append(f_b)
-        zeta_parts.append(np.asarray(zeta))
-        xi_parts.append(f_xi)
-        tau_parts.append(f_tau)
-        d_parts.append(d)
-        s_parts.append(s)
-
-        idx = next_index + np.arange(n, dtype=np.int64)
-        next_index += n
         div_mask = d < T
         if not np.any(div_mask):
             break
-        p_idx = idx[div_mask]
+        p_idx = first + np.flatnonzero(div_mask)
         p_keys = keys[div_mask]
         p_d = d[div_mask]
         p_s = s[div_mask]
@@ -595,29 +590,33 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
         bases = cell_base(stream_base, keys)
         f_tau = _child_rates(config.kernel, bases, np.concatenate([p_tau, p_tau]))
 
-    return TreeResult(
-        config,
-        rng.seed,
-        rng.stream_index,
-        np.concatenate(parents),
-        np.concatenate(bits),
-        np.concatenate(b_parts),
-        np.concatenate(zeta_parts),
-        np.concatenate(xi_parts),
-        np.concatenate(tau_parts),
-        np.concatenate(d_parts),
-        np.concatenate(s_parts),
-    )
+
+def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
+    """The whole division tree up to the horizon, every cell stored."""
+    columns = [np.concatenate(c) for c in zip(*_generations(config, rng))]
+    return TreeResult(config, rng.seed, rng.stream_index, *columns)
 
 
-def living_at(tree: TreeResult, t: float) -> list:
-    """Cells alive at time t as (path, current size, rate) tuples."""
-    mask = tree.living_mask(t)
-    sizes = tree.sizes_at(t, mask)
-    out = []
-    for j, i in enumerate(np.flatnonzero(mask)):
-        out.append((tree.path_of(int(i)), float(sizes[j]), float(tree.tau[i])))
-    return out
+def tree_measures(config: SimConfig, rng: RngStream, times) -> list:
+    """(biomass, living count) at each of ``times``, for the tree that
+    :func:`simulate_tree` would return, without storing it.
+
+    Each generation is masked as :meth:`TreeResult.living_mask` does and
+    only its living sizes are kept; they are summed once, in the stored
+    tree's breadth-first order, so the values equal :func:`biomass_at` and
+    :meth:`TreeResult.living_count` bit for bit.
+    """
+    times = [float(t) for t in times]
+    for t in times:
+        _check_time(t, config.horizon)
+    sizes = [[] for _ in times]
+    counts = [0] * len(times)
+    for _, _, b, _, xi, tau, d, _ in _generations(config, rng):
+        for j, t in enumerate(times):
+            mask = (b <= t) & (t < d)
+            counts[j] += int(np.count_nonzero(mask))
+            sizes[j].append(config.growth.size_at(xi[mask], tau[mask], t - b[mask]))
+    return [(float(np.sum(np.concatenate(z))), c) for z, c in zip(sizes, counts)]
 
 
 def biomass_at(tree: TreeResult, t: float) -> float:

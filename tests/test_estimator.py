@@ -169,17 +169,17 @@ def test_cv_table_keeps_failure_types(monkeypatch):
     # a tree's ValueError is recorded in-row under its own type and stream;
     # any other exception is a defect and propagates
     def fail(kind):
-        def simulate(config, stream):
+        def measure(config, stream, times):
             raise kind("boom")
 
-        return simulate
+        return measure
 
     base = make_config(alpha=1.0, horizon=5.0)
-    monkeypatch.setattr(estimator, "simulate_tree", fail(ValueError))
+    monkeypatch.setattr(estimator, "tree_measures", fail(ValueError))
     [row] = cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
     assert row.estimate is None
     assert row.status.startswith("error: ValueError: tree on stream 0 failed: boom")
-    monkeypatch.setattr(estimator, "simulate_tree", fail(TypeError))
+    monkeypatch.setattr(estimator, "tree_measures", fail(TypeError))
     with pytest.raises(TypeError):
         cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malthus.age_model import AlphaFamily, PowerLagRate, TruncatedGaussian, _resolvent_factory
 from malthus.numerics import (
     DEFAULT_ROOT_TOL,
     NonConvergenceError,
@@ -19,6 +20,7 @@ from malthus.numerics import (
     open_uniforms_at,
     uniforms_at,
 )
+from malthus.numerics import _brent
 
 TIGHT = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=60)
 
@@ -87,6 +89,81 @@ def test_root_releases_the_resolvent():
 def test_root_never_crossing_raises():
     with pytest.raises(NonConvergenceError):
         find_root_decreasing(lambda l: 1.5 + 1.0 / (1.0 + l), 1.0, DEFAULT_ROOT_TOL)
+
+
+def counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def brent_and_brentq(f, a, b, **kw):
+    """(outcome, calls) of _brent and of scipy's brentq on one bracket; the
+    outcome is the root or the exception type."""
+    from scipy.optimize import brentq  # the oracle; the package never imports it
+
+    out = []
+    for solve in (lambda g: _brent(g, a, b, **kw), lambda g: brentq(g, a, b, **kw)):
+        g = counted(f)
+        try:
+            out.append((solve(g), g.calls))
+        except (ValueError, RuntimeError) as e:
+            out.append((type(e), g.calls))
+    return out
+
+
+def resolvent_bracket(beta):
+    """H - 1 of an age-model solve and its bracket, as find_root_decreasing
+    doubles it."""
+    H = _resolvent_factory(PowerLagRate(beta, 1.0), AlphaFamily(TruncatedGaussian(0.0, 2.0, 0.7), 0.5).law())
+    lo, hi = 0.0, 1.0
+    while H(hi) > 1.0:
+        lo, hi = hi, 2.0 * hi
+    return (lambda lam: H(lam) - 1.0), lo, hi
+
+
+CLOSED_FORMS = [
+    (lambda x: 2.0 * math.exp(-x) - 1.0, 0.0, 1.0),
+    (lambda x: 2.0 / (1.0 + x) ** 2 - 1.0, 0.0, 1.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), 0.0, 4.0),
+    (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) * f(b) underflows to -0
+    (lambda x: (0.3 - x) ** 3, 0.0, 1.0),  # a triple root: the iterations run out
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 2.0])
+def test_brent_matches_brentq_on_resolvents(beta):
+    f, lo, hi = resolvent_bracket(beta)
+    kw = dict(xtol=1e-15 * max(1.0, hi), rtol=1e-15, maxiter=120)
+    (x, calls), expect = brent_and_brentq(f, lo, hi, **kw)
+    assert (x, calls) == expect and isinstance(x, float)
+
+
+@pytest.mark.parametrize("case", range(len(CLOSED_FORMS)))
+@pytest.mark.parametrize("kw", [dict(xtol=1e-15, rtol=1e-15, maxiter=100), dict(xtol=2e-12, rtol=8.9e-16, maxiter=100),
+                                dict(xtol=1e-15, rtol=1e-15, maxiter=3)])
+def test_brent_matches_brentq_on_closed_forms(case, kw):
+    f, a, b = CLOSED_FORMS[case]
+    got, expect = brent_and_brentq(f, a, b, **kw)
+    assert got == expect
+
+
+def test_brent_rejects_a_bracket_without_sign_change():
+    assert brent_and_brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12, rtol=1e-15, maxiter=50) == [(ValueError, 2)] * 2
+
+
+def test_brent_exhaustion_falls_back_to_bisection():
+    # the triple root exhausts Brent on the bracket [0, 1] that doubling finds
+    h = lambda x: (0.3 - x) ** 3
+    with pytest.raises(RuntimeError):
+        _brent(h, 0.0, 1.0, xtol=1e-15, rtol=1e-15, maxiter=max(DEFAULT_ROOT_TOL.max_iter, 100))
+    x = find_root_decreasing(h, 0.0, DEFAULT_ROOT_TOL)
+    assert abs(h(x)) <= DEFAULT_ROOT_TOL.abs_tol
 
 
 # --- random stream -----------------------------------------------------------

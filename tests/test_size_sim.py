@@ -1,5 +1,6 @@
 """Division trees: samplers, genealogy invariants, reproducibility."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from malthus.size_sim import (
     UniformAsymmetric,
     biomass_at,
     lifetime,
-    living_at,
     sample_division_size,
     simulate_tree,
+    tree_measures,
 )
 from malthus.size_sim import _DOM_RATE, _DOM_SIZE, _child_rates, _division_sizes, _draw_rates
 
@@ -284,6 +285,29 @@ def test_thinning_passes_stay_few(monkeypatch):
     assert calls[0] == n and max(calls) <= n  # a block never outgrows the frontier
 
 
+def test_rate_redraw_passes_stay_few(monkeypatch):
+    # structural speed guard, no timing: a window keeping ~4% of the
+    # Gaussian; each pass draws a block of attempts for every cell not yet
+    # accepted, where one attempt per pass takes 247 passes
+    calls = []
+
+    def counting(base, counters):
+        u = open_uniforms_at(base, counters)
+        calls.append(u.size)
+        return u
+
+    monkeypatch.setattr(size_sim, "open_uniforms_at", counting)
+    n = 1000
+    law = TruncatedGaussian(0.95, 1.05, 1.0)
+    bases = cell_bases(4, 0, n)
+    _, first = per_attempt_rates(law, bases)
+    calls.clear()
+    _draw_rates(law, bases)
+    assert first.max() == 246
+    assert len(calls) <= 40
+    assert calls[0] == n and max(calls) <= n  # a block never outgrows the frontier
+
+
 # --- whole-tree invariants -------------------------------------------------------
 
 
@@ -410,18 +434,81 @@ def test_cell_cap_raises():
         simulate_tree(cfg, RngStream(1, 1))
 
 
-def test_living_measures_consistent():
-    tree = simulate_tree(make_config(horizon=6.0), RngStream(14, 2))
-    t = 4.75
-    rows = living_at(tree, t)
-    assert len(rows) == tree.living_count(t)
-    total = sum(size for _, size, _ in rows)
-    assert abs(total - biomass_at(tree, t)) < 1e-12 * max(1.0, total)
-    # each living cell was born but has not divided
-    mask = tree.living_mask(t)
-    assert np.all(tree.b[mask] <= t) and np.all(tree.d[mask] > t)
-    with pytest.raises(ValueError):
-        tree.living_mask(tree.horizon + 0.5)
+def test_paths_match_parent_walk():
+    tree = simulate_tree(make_config(split=UniformAsymmetric(0.1), horizon=6.0), RngStream(14, 2))
+
+    def walk(i):
+        bits = []
+        while i > 0:
+            bits.append(str(int(tree.bit[i])))
+            i = int(tree.parent[i])
+        return "".join(reversed(bits)).encode()
+
+    paths = tree.paths()
+    assert paths.size == len(tree) and paths[0] == b""
+    assert paths.tolist() == [walk(i) for i in range(len(tree))]
+
+
+@st.composite
+def any_config(draw):
+    mode = draw(st.sampled_from(["unit_size", "unit_time"]))
+    law = AlphaFamily(TG, draw(st.floats(0.05, 1.0)))
+    theta = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    return make_config(
+        horizon=draw(st.floats(1.0, 6.0)),
+        division=SizeDivisionRate(1.0, draw(st.sampled_from([0.0, 0.5, 2.0])), mode),
+        growth=draw(st.sampled_from([Exponential(), Linear()])),
+        split=draw(st.sampled_from([Symmetric(), UniformAsymmetric(0.2)])),
+        kernel=Memoryless(law) if theta is None else AutoRegressive(law, theta),
+    )
+
+
+@given(any_config(), st.integers(0, 2**31 - 1), st.integers(0, 2**20))
+@settings(deadline=None, max_examples=40)
+def test_streamed_measures_equal_stored_tree(cfg, seed, pick):
+    # the same living sizes, summed once in breadth-first order: bit for bit
+    tree = simulate_tree(cfg, RngStream(seed, 3))
+    divided = np.sort(tree.d[tree.d < cfg.horizon])
+    times = [0.0, cfg.horizon, 0.5 * cfg.horizon]
+    if divided.size:
+        times.append(float(divided[pick % divided.size]))  # daughters alive, mother not
+    got = tree_measures(cfg, RngStream(seed, 3), times)
+    assert got == [(biomass_at(tree, t), tree.living_count(t)) for t in times]
+
+
+def test_streamed_measures_reject_times_past_the_tree():
+    cfg = make_config(horizon=4.0)
+    for t in (-0.5, 4.5):
+        with pytest.raises(ValueError, match="horizon"):
+            tree_measures(cfg, RngStream(1, 0), [1.0, t])
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_tree(cfg, RngStream(1, 0)).living_mask(t)
+
+
+def test_streamed_measures_hold_frontier_not_tree():
+    # the reduction keeps one generation and the living sizes at the
+    # requested times, never the tree: its peak allocation is bounded by
+    # bytes per cell of the largest generation plus bytes per kept size,
+    # a bound fixed from that accounting and far below the 57 B per cell
+    # a stored tree holds (linear growth spreads the generations wide)
+    cfg = make_config(
+        alpha=0.0, horizon=12.0, growth=Linear(), kernel=Memoryless(UniformLaw(0.1, 1.9)),
+        division=SizeDivisionRate(0.0, 0.0, "unit_size"),
+    )
+    times = [cfg.horizon, 0.5 * cfg.horizon]
+    tree = simulate_tree(cfg, RngStream(3, 0))
+    frontier = int(np.bincount(np.char.str_len(tree.paths())).max())
+    kept = sum(tree.living_count(t) for t in times)
+    bound = 400 * frontier + 16 * kept + (256 << 10)
+    assert bound < 57 * len(tree)  # storing the tree would break the bound
+    del tree
+    tracemalloc.start()
+    try:
+        tree_measures(cfg, RngStream(3, 0), times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_config_digest_tracks_content():
