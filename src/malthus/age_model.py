@@ -26,6 +26,7 @@ first/second perturbation derivatives of lambda in alpha.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -290,10 +291,20 @@ class Dirac:
         return self
 
 
+@functools.lru_cache(maxsize=32)
+def _legendre(n: int) -> tuple:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use and shared read-only."""
+    x, w = roots_legendre(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gl_on(a, b, n: int = 16):
     """n-point Gauss-Legendre nodes and weights on [a, b]; with arrays of
     ends (a column each) one row per interval.  The age model's only rule."""
-    x, w = roots_legendre(n)
+    x, w = _legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

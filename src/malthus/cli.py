@@ -52,6 +52,7 @@ from .size_sim import (
 )
 
 _FMT = "%.10g"
+_DUMP_CHUNK_ROWS = 8192  # tree-dump formats and writes this many rows at a time
 
 
 class ConfigError(ValueError):
@@ -67,10 +68,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
-    return _write_lines(path, header, [",".join(_fmt(x) for x in row) for row in rows])
-
-
-def _write_lines(path: str, header: Sequence[str], lines: Sequence[str]) -> bytes:
+    lines = [",".join(_fmt(x) for x in row) for row in rows]
     data = ("\n".join([",".join(header), *lines]) + "\n").encode()
     with open(path, "wb") as f:
         f.write(data)
@@ -377,13 +375,20 @@ def _cmd_tree_dump(args) -> int:
     items = _read_config(args.config, args.set)
     cfg = _sim_config(items, args.horizon, args.alpha)
     tree = simulate_tree(cfg, RngStream(args.seed, args.stream))
-    # one % per row over tolist() scalars: the same text as _fmt, cell by cell
     paths = tree.paths()
-    parent_paths = np.where(tree.parent >= 0, paths[tree.parent], b"")
-    columns = [np.char.decode(paths, "ascii").tolist(), np.char.decode(parent_paths, "ascii").tolist()]
-    columns += [getattr(tree, name).tolist() for name in ("b", "zeta", "xi", "tau", "d")]
+    # one % per row over tolist() scalars: the same text as _fmt, cell by
+    # cell; formatted and written in blocks of rows, so the text of the
+    # whole tree is never held
     row = "%s,%s" + ("," + _FMT) * 5
-    _write_lines(args.out, ["id_path", "parent_path", "b", "zeta", "xi", "tau", "d"], [row % r for r in zip(*columns)])
+    with open(args.out, "wb") as f:
+        f.write(b"id_path,parent_path,b,zeta,xi,tau,d\n")
+        for start in range(0, len(tree), _DUMP_CHUNK_ROWS):
+            rows = slice(start, start + _DUMP_CHUNK_ROWS)
+            parent = tree.parent[rows]
+            parent_paths = np.where(parent >= 0, paths[parent], b"")
+            columns = [np.char.decode(p, "ascii").tolist() for p in (paths[rows], parent_paths)]
+            columns += [getattr(tree, name)[rows].tolist() for name in ("b", "zeta", "xi", "tau", "d")]
+            f.write(("\n".join([row % r for r in zip(*columns)]) + "\n").encode())
     return 0
 
 

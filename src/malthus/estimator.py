@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import RngStream
-# simulate_tree is not called here; it stays importable under this name,
-# which the benchmark's tracer (bench/tracing.py) wraps
+# simulate_tree is not called here: the benchmark's tracer (bench/tracing.py)
+# wraps estimator.simulate_tree, so the name stays importable
 from .size_sim import SimConfig, TreeResult, biomass_at, simulate_tree, tree_measures
 
 __all__ = [

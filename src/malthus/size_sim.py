@@ -344,20 +344,28 @@ def _redraw(draw, ok, bases: np.ndarray, dom: int, budget: int):
 
     Attempt 0 runs on the whole frontier with one broadcast counter.  Each
     later pass draws the next K attempts (counters ``dom + k`` ..
-    ``dom + k + K - 1``) of every cell rejected so far, with K <= n / alive
-    as in thinning, and keeps each cell's first accepted one; attempt k of
-    a cell is a pure function of (cell base, k), so a block gives the same
-    bits as K single attempts.  Returns the draws and the indices of the
-    cells still rejected after ``budget`` attempts.
+    ``dom + k + K - 1``) of every cell rejected so far and keeps each
+    cell's first accepted one.  K <= n / alive as in thinning, and K <=
+    tried / accepted of the previous pass, about the attempts one cell
+    needs at the observed acceptance, so a likely acceptance draws few
+    spare attempts.  Attempt k of a cell is a pure function of (cell base,
+    k), so a block gives the same bits as K single attempts.  Returns the
+    draws and the indices of the cells still rejected after ``budget``
+    attempts.
     """
     n = bases.size
     x = draw(bases, np.uint64(dom))
-    redo = np.flatnonzero(~ok(x))
+    good = ok(x)
+    redo = np.flatnonzero(~good)
+    tried, accepted = n, n - redo.size
     k = 1
     while redo.size and k < budget:
         K = min(64, n // redo.size, budget - k)
+        if accepted:
+            K = min(K, -(-tried // accepted))
         y = draw(bases[redo, None], np.arange(dom + k, dom + k + K, dtype=np.uint64))
         good = ok(y)
+        tried, accepted = good.size, int(np.count_nonzero(good))
         hit = good.any(axis=1)
         x[redo[hit]] = y[hit, good[hit].argmax(axis=1)]
         redo = redo[~hit]
@@ -408,17 +416,30 @@ def sample_division_size(division: SizeDivisionRate, birth_size, u):
         raise ValueError("birth size must be positive")
     if np.any((u < 0.0) | (u >= 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    E = -np.log1p(-u)
-    s = _inverse_from(division, x_b, E)
+    s = _inverse_from(division, x_b, -np.log1p(-u))
     if s.shape == ():
         return float(s)
     return s
 
 
 def _inverse_from(division: SizeDivisionRate, x_b, E):
-    """Solve cumulative(s) - cumulative(x_b) = E for s (E >= 0)."""
+    """Solve cumulative(s) - cumulative(x_b) = E for s (E >= 0).
+
+    Over an array, the head (x_b - x0)_+^{beta+1} is raised to the power
+    only where x_b > x0 (or is NaN, which propagates): pow takes about
+    twice as long on a zero base as on a positive one, and gives exactly
+    0 there.  A scalar keeps scalar pow, whose last bit can differ from
+    the array loop's.
+    """
     bp1 = division.beta + 1.0
-    head = np.maximum(np.asarray(x_b, dtype=float) - division.x0, 0.0) ** bp1
+    t = np.asarray(x_b, dtype=float) - division.x0
+    if np.ndim(t) == 0:
+        head = np.maximum(t, 0.0) ** bp1
+    else:
+        head = np.zeros(t.shape)
+        flat, t = head.reshape(-1), t.reshape(-1)
+        rise = np.flatnonzero(~(t <= 0.0))
+        flat[rise] = t[rise] ** bp1
     return division.x0 + (bp1 * np.asarray(E, dtype=float) + head) ** (1.0 / bp1)
 
 
@@ -431,15 +452,19 @@ def lifetime(growth, birth_size, division_size, v):
         raise ValueError("division size below birth size violates monotone growth")
     if np.any(v <= 0.0):
         raise ValueError("rate must be positive")
-    if isinstance(growth, Exponential):
-        out = np.log(s / x_b) / v
-    elif isinstance(growth, Linear):
-        out = (s - x_b) / v
-    else:
-        raise TypeError("unknown growth law")
+    out = _lifetime(growth, x_b, s, v)
     if out.shape == ():
         return float(out)
     return out
+
+
+def _lifetime(growth, x_b: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`lifetime` without its checks, for arrays the sampler made."""
+    if isinstance(growth, Exponential):
+        return np.log(s / x_b) / v
+    if isinstance(growth, Linear):
+        return (s - x_b) / v
+    raise TypeError("unknown growth law")
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +486,10 @@ def _division_sizes(config: SimConfig, bases: np.ndarray, x_b: np.ndarray, v: np
     u, redo = _redraw(uniforms_at, lambda u: u > 0.0, bases, _DOM_SIZE, _REDRAW_BUDGET)
     if redo.size:
         raise RuntimeError("division-size resampling budget exhausted")
-    if div.mode == "unit_size":
-        return sample_division_size(div, x_b, u)
-    # linear growth: the hazard per unit size is B/v, so E scales by v
-    return _inverse_from(div, x_b, -np.log1p(-u) * v)
+    E = -np.log1p(-u)
+    if div.mode == "unit_time":
+        E *= v  # linear growth: the hazard per unit size is B/v, so E scales by v
+    return _inverse_from(div, x_b, E)
 
 
 def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -506,16 +531,29 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     return out
 
 
-def _split_fractions(split, bases: np.ndarray) -> np.ndarray:
+def _daughter_sizes(split, bases: np.ndarray, s: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """Birth sizes of the daughters of the frontier cells ``div``, which
+    divide at sizes ``s[div]``: every first daughter, then every second."""
+    s = s[div]
     if isinstance(split, Symmetric):
-        return np.full(bases.size, 0.5)
-    u = uniforms_at(bases, np.uint64(_DOM_SPLIT))
-    return split.eps + (1.0 - 2.0 * split.eps) * u
+        # the product and difference below at frac = 0.5: 0.5 * s is
+        # exact, and so is s - 0.5 * s (Sterbenz)
+        half = 0.5 * s
+        return np.concatenate([half, half])
+    frac = split.eps + (1.0 - 2.0 * split.eps) * uniforms_at(bases[div], np.uint64(_DOM_SPLIT))
+    # compute the larger piece by product and the smaller by subtraction:
+    # with big in [s/2, s] the subtraction is exact (Sterbenz), so the
+    # two birth sizes sum to the division size bit-for-bit
+    big = np.maximum(frac, 1.0 - frac) * s
+    small = s - big
+    first_is_big = frac >= 0.5
+    return np.concatenate([np.where(first_is_big, big, small), np.where(first_is_big, small, big)])
 
 
-def _child_rates(kernel, bases: np.ndarray, parent_rates: np.ndarray) -> np.ndarray:
+def _child_rates(kernel, bases: np.ndarray, parent_rates) -> np.ndarray:
     """Daughter rates: a fresh draw from ``kernel.law``, pulled toward the
-    parent rate and clipped to the law's support under AutoRegressive."""
+    parent rate and clipped to the law's support under AutoRegressive.
+    A Memoryless kernel ignores ``parent_rates``, which may be None."""
     fresh = _draw_rates(kernel.law, bases)
     if isinstance(kernel, AutoRegressive):
         lo, hi = kernel.law.support
@@ -529,9 +567,11 @@ def _generations(config: SimConfig, rng: RngStream) -> Iterator[tuple]:
 
     Every cell with division time before the horizon gets exactly two
     children; cells dividing at or after it are leaves and not expanded.
-    Yields each generation's (parent, bit, b, zeta, xi, tau, d,
-    division_size) arrays, the columns of :class:`TreeResult`, with parent
-    indices counted over the whole tree.  Only the current generation is
+    Yields each generation's (b, zeta, xi, tau, d, division_size) arrays,
+    columns of :class:`TreeResult`.  A generation lists the first
+    daughters of the previous generation's dividing cells (those with
+    d < horizon), in order, then their second daughters, so the genealogy
+    follows from the ``d`` columns alone.  Only the current generation is
     held.  All draws are keyed by the cell's path hash, so the stream is
     deterministic for a given (config, seed, stream_index).
     """
@@ -540,8 +580,6 @@ def _generations(config: SimConfig, rng: RngStream) -> Iterator[tuple]:
 
     # frontier state
     keys = np.asarray([_ROOT_KEY])
-    f_parent = np.asarray([-1], dtype=np.int64)
-    f_bit = np.asarray([-1], dtype=np.int8)
     f_b = np.zeros(1)
     f_xi = np.asarray([float(config.root_size)])
     bases = cell_base(stream_base, keys)
@@ -551,50 +589,47 @@ def _generations(config: SimConfig, rng: RngStream) -> Iterator[tuple]:
         f_tau = _draw_rates(config.kernel.law, bases)
 
     total = 0
-    while f_b.size:
-        first = total
+    while True:
         total += f_b.size
         if total > config.max_cells:
             raise RuntimeError(
                 f"horizon too large: more than {config.max_cells} cells before t = {T}"
             )
         s = _division_sizes(config, bases, f_xi, f_tau)
-        zeta = np.asarray(lifetime(config.growth, f_xi, s, f_tau))
+        zeta = _lifetime(config.growth, f_xi, s, f_tau)
         d = f_b + zeta
-        yield f_parent, f_bit, f_b, zeta, f_xi, f_tau, d, s
+        yield f_b, zeta, f_xi, f_tau, d, s
 
-        div_mask = d < T
-        if not np.any(div_mask):
+        div = np.flatnonzero(d < T)
+        if not div.size:
             break
-        p_idx = first + np.flatnonzero(div_mask)
-        p_keys = keys[div_mask]
-        p_d = d[div_mask]
-        p_s = s[div_mask]
-        p_tau = f_tau[div_mask]
-        frac = _split_fractions(config.split, bases[div_mask])
-        # compute the larger piece by product and the smaller by subtraction:
-        # with big in [s/2, s] the subtraction is exact (Sterbenz), so the
-        # two birth sizes sum to the division size bit-for-bit
-        big = np.maximum(frac, 1.0 - frac) * p_s
-        small = p_s - big
-        first_is_big = frac >= 0.5
-        c_first = np.where(first_is_big, big, small)
-        c_second = np.where(first_is_big, small, big)
-
-        m = p_idx.size
+        p_keys = keys[div]
+        p_d = d[div]
+        parent_rates = None  # a Memoryless daughter ignores its mother's rate
+        if isinstance(config.kernel, AutoRegressive):
+            p_tau = f_tau[div]
+            parent_rates = np.concatenate([p_tau, p_tau])
+        f_xi = _daughter_sizes(config.split, bases, s, div)
         keys = np.concatenate([child_key(p_keys, 0), child_key(p_keys, 1)])
-        f_parent = np.concatenate([p_idx, p_idx])
-        f_bit = np.concatenate([np.zeros(m, dtype=np.int8), np.ones(m, dtype=np.int8)])
         f_b = np.concatenate([p_d, p_d])
-        f_xi = np.concatenate([c_first, c_second])
         bases = cell_base(stream_base, keys)
-        f_tau = _child_rates(config.kernel, bases, np.concatenate([p_tau, p_tau]))
+        f_tau = _child_rates(config.kernel, bases, parent_rates)
 
 
 def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
     """The whole division tree up to the horizon, every cell stored."""
-    columns = [np.concatenate(c) for c in zip(*_generations(config, rng))]
-    return TreeResult(config, rng.seed, rng.stream_index, *columns)
+    generations = list(_generations(config, rng))
+    # the dividing cells of a generation are, in order, the parents of the
+    # next generation's first daughters and then of its second daughters
+    parent, bit = [np.asarray([-1], dtype=np.int64)], [np.asarray([-1], dtype=np.int8)]
+    first = 0
+    for *_, d, _ in generations[:-1]:
+        p_idx = first + np.flatnonzero(d < config.horizon)
+        parent.append(np.concatenate([p_idx, p_idx]))
+        bit.append(np.repeat(np.asarray([0, 1], dtype=np.int8), p_idx.size))
+        first += d.size
+    columns = [np.concatenate(c) for c in zip(*generations)]
+    return TreeResult(config, rng.seed, rng.stream_index, np.concatenate(parent), np.concatenate(bit), *columns)
 
 
 def tree_measures(config: SimConfig, rng: RngStream, times) -> list:
@@ -604,18 +639,23 @@ def tree_measures(config: SimConfig, rng: RngStream, times) -> list:
     Each generation is masked as :meth:`TreeResult.living_mask` does and
     only its living sizes are kept; they are summed once, in the stored
     tree's breadth-first order, so the values equal :func:`biomass_at` and
-    :meth:`TreeResult.living_count` bit for bit.
+    :meth:`TreeResult.living_count` bit for bit.  A generation born wholly
+    after t holds no cell living at t and is skipped; at the horizon the
+    mask is ``t < d`` alone, since every stored cell is born before it.
     """
     times = [float(t) for t in times]
     for t in times:
         _check_time(t, config.horizon)
     sizes = [[] for _ in times]
     counts = [0] * len(times)
-    for _, _, b, _, xi, tau, d, _ in _generations(config, rng):
+    for b, _, xi, tau, d, _ in _generations(config, rng):
+        born = b.min()
         for j, t in enumerate(times):
-            mask = (b <= t) & (t < d)
-            counts[j] += int(np.count_nonzero(mask))
-            sizes[j].append(config.growth.size_at(xi[mask], tau[mask], t - b[mask]))
+            if born > t:
+                continue
+            living = np.flatnonzero((t < d) if t == config.horizon else (b <= t) & (t < d))
+            counts[j] += living.size
+            sizes[j].append(config.growth.size_at(xi[living], tau[living], t - b[living]))
     return [(float(np.sum(np.concatenate(z))), c) for z, c in zip(sizes, counts)]
 
 

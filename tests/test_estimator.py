@@ -187,10 +187,10 @@ def test_cv_table_keeps_failure_types(monkeypatch):
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
 def test_malformed_thread_count_raises_before_any_tree(monkeypatch, threads):
     # resolved once per call, so a malformed value never becomes an in-row error
-    def refuse(config, stream):
+    def refuse(config, stream, times):
         raise AssertionError("a tree ran")
 
-    monkeypatch.setattr(estimator, "simulate_tree", refuse)
+    monkeypatch.setattr(estimator, "tree_measures", refuse)
     monkeypatch.setenv("MALTHUS_THREADS", threads)
     base = make_config(alpha=1.0, horizon=5.0)
     for call in (

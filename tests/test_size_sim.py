@@ -1,4 +1,5 @@
 """Division trees: samplers, genealogy invariants, reproducibility."""
+import hashlib
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
+import golden_trees
 from conftest import TG_CV
 from malthus.age_model import AlphaFamily, Dirac, TruncatedGaussian, UniformLaw
 from malthus import size_sim
@@ -30,7 +32,7 @@ from malthus.size_sim import (
     simulate_tree,
     tree_measures,
 )
-from malthus.size_sim import _DOM_RATE, _DOM_SIZE, _child_rates, _division_sizes, _draw_rates
+from malthus.size_sim import _DOM_RATE, _DOM_SIZE, _child_rates, _division_sizes, _draw_rates, _inverse_from
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
 
@@ -94,6 +96,30 @@ def test_division_size_validation():
         sample_division_size(div, 0.0, 0.5)
     with pytest.raises(ValueError):
         sample_division_size(SizeDivisionRate(1.0, 2.0, "unit_time"), 2.0, 0.5)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 3.7])
+def test_inverse_from_matches_clipped_power(beta):
+    # the head is powered only where x_b > x0; the clipped power of every
+    # birth size, below, at and above x0, is the reference bit for bit
+    div = SizeDivisionRate(1.0, beta, "unit_size")
+    rng = np.random.default_rng(int(10 * beta))
+    edge = [0.2, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5]
+    x_b = np.concatenate([edge, rng.uniform(0.1, 3.0, 500)])
+    E = rng.exponential(size=x_b.size)
+    bp1 = beta + 1.0
+    expect = 1.0 + (bp1 * E + np.maximum(x_b - 1.0, 0.0) ** bp1) ** (1.0 / bp1)
+    assert np.array_equal(_inverse_from(div, x_b, E), expect)
+    assert np.array_equal(_inverse_from(div, x_b.reshape(5, -1), E.reshape(5, -1)), expect.reshape(5, -1))
+    for x, e in zip(edge, E):  # scalars, through scalar pow
+        assert _inverse_from(div, x, e) == 1.0 + (bp1 * e + max(x - 1.0, 0.0) ** bp1) ** (1.0 / bp1)
+
+
+def test_division_size_propagates_nan_birth_size():
+    div = SizeDivisionRate(1.0, 2.0, "unit_size")
+    assert math.isnan(sample_division_size(div, math.nan, 0.3))
+    s = sample_division_size(div, np.asarray([0.5, math.nan, 1.5]), 0.3)
+    assert math.isnan(s[1]) and np.isfinite(s[[0, 2]]).all()
 
 
 def test_unit_time_sampler_matches_quadrature_cdf():
@@ -308,6 +334,24 @@ def test_rate_redraw_passes_stay_few(monkeypatch):
     assert calls[0] == n and max(calls) <= n  # a block never outgrows the frontier
 
 
+def test_rate_draws_per_cell_stay_few(monkeypatch):
+    # structural speed guard, no timing: the window keeps 84.7% of the
+    # Gaussian, so one attempt per pass would draw 1/0.847 = 1.18 uniforms
+    # per cell; blocks capped at the observed acceptance draw 1.31 here,
+    # blocks sized from the frontier alone drew 1.90
+    draws = []
+
+    def counting(base, counters):
+        u = open_uniforms_at(base, counters)
+        draws.append(u.size)
+        return u
+
+    monkeypatch.setattr(size_sim, "open_uniforms_at", counting)
+    n = 10_000
+    _draw_rates(TG.contract(0.5), cell_bases(5, 0, n))
+    assert sum(draws) <= 1.35 * n
+
+
 # --- whole-tree invariants -------------------------------------------------------
 
 
@@ -474,6 +518,21 @@ def test_streamed_measures_equal_stored_tree(cfg, seed, pick):
         times.append(float(divided[pick % divided.size]))  # daughters alive, mother not
     got = tree_measures(cfg, RngStream(seed, 3), times)
     assert got == [(biomass_at(tree, t), tree.living_count(t)) for t in times]
+
+
+def test_trees_match_golden_values():
+    # per-tree measures and every stored column, as recorded before the
+    # frontier's array passes were cut, over modes, betas, growth laws,
+    # splits, kernels and root rates
+    digest = hashlib.sha256()
+    got = {}
+    for i, (label, cfg) in enumerate(golden_trees.grid()):
+        tree = simulate_tree(cfg, RngStream(golden_trees.SEED, i))
+        for name in golden_trees.COLUMNS:
+            digest.update(getattr(tree, name).tobytes())
+        got[label] = repr(tuple(tree_measures(cfg, RngStream(golden_trees.SEED, i), golden_trees.TIMES)))
+    assert got == {label: repr(v) for label, v in golden_trees.MEASURES.items()}
+    assert digest.hexdigest() == golden_trees.COLUMNS_SHA256
 
 
 def test_streamed_measures_reject_times_past_the_tree():
