@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _GL_NODES = 64
+_SIGN_SAMPLES = 4096  # midpoints at which sign_condition reads B' - B^2
 
 # Sums over quadrature tables use np.einsum, never `@`: OpenBLAS runs every
 # product above a few thousand elements on all cores, and between the many
@@ -280,7 +281,7 @@ class Dirac:
     def support(self) -> tuple:
         return (self.v_bar, self.v_bar)
 
-    def quadrature(self, n: int = _GL_NODES):
+    def quadrature(self):
         return np.asarray([self.v_bar]), np.asarray([1.0])
 
     def density(self, v):
@@ -363,8 +364,8 @@ class TruncatedGaussian:
         pdf = np.exp(-0.5 * z * z) / (self.sigma_eta * math.sqrt(2.0 * math.pi) * self._mass)
         return np.where((v >= self.v_min) & (v <= self.v_max), pdf, 0.0)
 
-    def quadrature(self, n: int = _GL_NODES):
-        x, w = _gl_on(self.v_min, self.v_max, n)
+    def quadrature(self):
+        x, w = _gl_on(self.v_min, self.v_max, _GL_NODES)
         return x, w * self.density(x)
 
     def contract(self, alpha: float) -> "TruncatedGaussian | Dirac":
@@ -416,8 +417,8 @@ class UniformLaw:
             0.0,
         )
 
-    def quadrature(self, n: int = _GL_NODES):
-        x, w = _gl_on(self.v_min, self.v_max, n)
+    def quadrature(self):
+        x, w = _gl_on(self.v_min, self.v_max, _GL_NODES)
         return x, w / (self.v_max - self.v_min)
 
     def contract(self, alpha: float) -> "UniformLaw | Dirac":
@@ -466,7 +467,7 @@ class DiscreteMixture:
         vs = [v for v, _ in self.atoms]
         return (min(vs), max(vs))
 
-    def quadrature(self, n: int = _GL_NODES):
+    def quadrature(self):
         v = np.asarray([v for v, _ in self.atoms])
         w = np.asarray([w for _, w in self.atoms])
         return v, w
@@ -802,7 +803,7 @@ def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
     return var * float(np.einsum("i,i->", we, sa * (sa - 2.0)) / np.einsum("i,i->", we, a / m)) / (m * m)
 
 
-def sign_condition(B, samples: int = 4096) -> str:
+def sign_condition(B) -> str:
     """Classify the sign of B' - B^2 on the interior of the support.
 
     Returns 'decreasing_fB' when B' < B^2 everywhere sampled (division-age
@@ -815,7 +816,7 @@ def sign_condition(B, samples: int = 4096) -> str:
         end = B.cutoff(TAIL_EPS)
     if not end > start:
         raise ValueError("empty support")
-    a = start + (np.arange(samples) + 0.5) * (end - start) / samples
+    a = start + (np.arange(_SIGN_SAMPLES) + 0.5) * (end - start) / _SIGN_SAMPLES
     diff = B.hazard_derivative(a) - B.hazard(a) ** 2
     if np.all(diff < 0.0):
         return "decreasing_fB"

@@ -14,7 +14,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -61,8 +60,6 @@ class ConfigError(ValueError):
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return _FMT % x
     return str(x)
 

@@ -49,7 +49,9 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request: |error| <= abs_tol + rel_tol * |value|."""
+    """Accuracy request.  Root solves certify |h(x) - target| <= abs_tol;
+    ``rel_tol`` is read only by :func:`integrate`, which stops at
+    |error| <= abs_tol + rel_tol * |value|."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 0.0
@@ -68,6 +70,7 @@ DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
 DEFAULT_ROOT_TOL = Tolerance(abs_tol=1e-10, rel_tol=0.0, max_iter=120)
 
 _MAX_PANELS = 400_000
+_MAX_DOUBLINGS = 200  # bracket doublings before find_root_decreasing gives up
 
 
 def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -202,7 +205,6 @@ def find_root_decreasing(
     h: Callable[[float], float],
     target: float,
     tol: Tolerance = DEFAULT_ROOT_TOL,
-    max_doublings: int = 200,
 ) -> float:
     """Solve h(x) = target for strictly decreasing h on [0, inf).
 
@@ -225,7 +227,7 @@ def find_root_decreasing(
         lo = hi
         hi *= 2.0
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             raise NonConvergenceError("no sign change found while doubling", best=hi)
         fhi = float(h(hi)) - target
     if fhi == 0.0:
@@ -319,10 +321,10 @@ def open_uniforms_at(base, counters) -> np.ndarray:
 
 
 class RngStream:
-    """Reproducible random stream; draw k is a pure function of
-    (seed, stream_index, k) and of the substream keys along the way."""
+    """Reproducible random stream; draw k of a tree cell is a pure function
+    of (seed, stream_index, the cell's path key, k)."""
 
-    __slots__ = ("seed", "stream_index", "_base", "_pos")
+    __slots__ = ("seed", "stream_index", "_base")
 
     def __init__(self, seed: int, stream_index: int = 0):
         if seed < 0 or stream_index < 0:
@@ -330,25 +332,10 @@ class RngStream:
         self.seed = int(seed)
         self.stream_index = int(stream_index)
         self._base = _stream_base(self.seed, self.stream_index)
-        self._pos = 0
 
     @property
     def base(self) -> np.uint64:
         return self._base
 
-    def substream(self, key: int) -> "RngStream":
-        """Independent stream keyed off this one; used per tree cell."""
-        r = object.__new__(RngStream)
-        r.seed = self.seed
-        r.stream_index = self.stream_index
-        r._base = _U64(cell_base(self._base, _U64(int(key) % (1 << 64))))
-        r._pos = 0
-        return r
-
-    def uniforms(self, n: int) -> np.ndarray:
-        c = np.arange(self._pos, self._pos + int(n), dtype=np.uint64)
-        self._pos += int(n)
-        return uniforms_at(self._base, c)
-
     def __repr__(self):  # pragma: no cover
-        return f"RngStream(seed={self.seed}, stream_index={self.stream_index}, pos={self._pos})"
+        return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"

@@ -15,8 +15,10 @@ exponential growth where the 1/size factor requires thinning.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -83,13 +85,6 @@ class SizeDivisionRate:
         if self.mode not in ("unit_size", "unit_time"):
             raise ValueError("mode must be 'unit_size' or 'unit_time'")
 
-    def hazard(self, x):
-        x = np.asarray(x, dtype=float)
-        t = np.maximum(x - self.x0, 0.0)
-        if self.beta == 0.0:
-            return np.where(x >= self.x0, 1.0, 0.0)
-        return t ** self.beta
-
     def cumulative(self, x):
         """integral of B from x0 to x, zero below x0."""
         x = np.asarray(x, dtype=float)
@@ -106,8 +101,6 @@ class SizeDivisionRate:
 class Exponential:
     """Size x(t) = xi * exp(tau (t - b))."""
 
-    name = "exp"
-
     def size_at(self, xi, tau, dt):
         return np.asarray(xi) * np.exp(np.asarray(tau) * np.asarray(dt))
 
@@ -116,8 +109,6 @@ class Exponential:
 class Linear:
     """Size x(t) = xi + tau (t - b)."""
 
-    name = "linear"
-
     def size_at(self, xi, tau, dt):
         return np.asarray(xi) + np.asarray(tau) * np.asarray(dt)
 
@@ -125,8 +116,6 @@ class Linear:
 @dataclass(frozen=True)
 class Symmetric:
     """Each daughter receives exactly half the division size."""
-
-    eps = 0.5  # degenerate split fraction
 
 
 @dataclass(frozen=True)
@@ -203,43 +192,32 @@ class SimConfig:
         if isinstance(self.kernel.law, AlphaFamily):
             object.__setattr__(self, "kernel", replace(self.kernel, law=self.kernel.law.law()))
 
-    def canonical(self) -> str:
-        """Flat key=value description; the digest hashes exactly this text."""
-        div = self.division
-        lines = [
-            f"division.mode={div.mode}",
-            f"division.x0={div.x0!r}",
-            f"division.beta={div.beta!r}",
-            f"growth={self.growth.name}",
-        ]
-        if isinstance(self.split, UniformAsymmetric):
-            lines.append(f"split=asym:{self.split.eps!r}")
-        else:
-            lines.append("split=sym")
-        if isinstance(self.kernel, AutoRegressive):
-            lines.append(f"kernel=ar:{self.kernel.theta!r}")
-            lines.append(f"kernel.law={_law_tag(self.kernel.law)}")
-        else:
-            lines.append("kernel=memoryless")
-            lines.append(f"kernel.law={_law_tag(self.kernel.law)}")
-        if isinstance(self.root_rate, FixedRate):
-            lines.append(f"root_rate=fixed:{self.root_rate.value!r}")
-        else:
-            lines.append("root_rate=kernel")
-        lines.append(f"horizon={self.horizon!r}")
-        lines.append(f"root_size={self.root_size!r}")
-        return "\n".join(lines)
-
     @property
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+        """Hash of :func:`_describe` of the config: configs equal under
+        ``==`` share one digest, and every field of every piece counts."""
+        return hashlib.sha256(_describe(self).encode()).hexdigest()[:16]
 
 
-def _law_tag(law) -> str:
-    name = type(law).__name__
-    fields = getattr(law, "__dataclass_fields__", {})
-    parts = [f"{k}={getattr(law, k)!r}" for k in fields]
-    return f"{name}({','.join(parts)})"
+def _describe(x) -> str:
+    """Type name and fields of a config piece, recursively.
+
+    A number is written as ``float(x) + 0.0``, so int, float, np.float64
+    and -0.0 of one value agree as they do under ``==``; an int beyond
+    float precision keeps its digits.
+    """
+    if dataclasses.is_dataclass(x):
+        fields = ",".join(f"{f.name}={_describe(getattr(x, f.name))}" for f in dataclasses.fields(x))
+        return f"{type(x).__name__}({fields})"
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(_describe, x)) + ")"
+    if isinstance(x, str):
+        return repr(str(x))
+    if isinstance(x, numbers.Integral) and float(x) != x:
+        return repr(int(x))
+    if isinstance(x, numbers.Real):
+        return repr(float(x) + 0.0)
+    raise TypeError(f"cannot describe a {type(x).__name__} in a config digest")
 
 
 @dataclass(frozen=True)
@@ -302,9 +280,8 @@ class TreeResult:
     def living_count(self, t: float) -> int:
         return int(np.count_nonzero(self.living_mask(t)))
 
-    def sizes_at(self, t: float, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        if mask is None:
-            mask = self.living_mask(t)
+    def sizes_at(self, t: float) -> np.ndarray:
+        mask = self.living_mask(t)
         return self.config.growth.size_at(self.xi[mask], self.tau[mask], t - self.b[mask])
 
     def paths(self) -> np.ndarray:
@@ -406,41 +383,38 @@ def sample_division_size(division: SizeDivisionRate, birth_size, u):
 
     With E = -ln(1-u), the size s solves cumulative(s) - cumulative(birth)
     = E, giving s = x0 + ((beta+1) E + (birth - x0)_+^{beta+1})^{1/(beta+1)}.
-    Accepts scalars or arrays (broadcast).
+    Accepts scalars or arrays (broadcast).  Scalars are evaluated as
+    one-element arrays, so a scalar gives the same bits as the same values
+    inside an array, and as the simulator.
     """
     if division.mode != "unit_size":
         raise ValueError("sample_division_size applies to the per-unit-size hazard")
-    x_b = np.asarray(birth_size, dtype=float)
-    u = np.asarray(u, dtype=float)
+    scalar = np.ndim(birth_size) == 0 and np.ndim(u) == 0
+    x_b = np.atleast_1d(np.asarray(birth_size, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(x_b <= 0.0):
         raise ValueError("birth size must be positive")
     if np.any((u < 0.0) | (u >= 1.0)):
         raise ValueError("u must lie in [0, 1)")
     s = _inverse_from(division, x_b, -np.log1p(-u))
-    if s.shape == ():
-        return float(s)
-    return s
+    return float(s[0]) if scalar else s
 
 
 def _inverse_from(division: SizeDivisionRate, x_b, E):
-    """Solve cumulative(s) - cumulative(x_b) = E for s (E >= 0).
+    """Solve cumulative(s) - cumulative(x_b) = E for s (E >= 0), over
+    arrays of at least one dimension.
 
-    Over an array, the head (x_b - x0)_+^{beta+1} is raised to the power
-    only where x_b > x0 (or is NaN, which propagates): pow takes about
-    twice as long on a zero base as on a positive one, and gives exactly
-    0 there.  A scalar keeps scalar pow, whose last bit can differ from
-    the array loop's.
+    The head (x_b - x0)_+^{beta+1} is raised to the power only where
+    x_b > x0 (or is NaN, which propagates): pow takes about twice as long
+    on a zero base as on a positive one, and gives exactly 0 there.
     """
     bp1 = division.beta + 1.0
-    t = np.asarray(x_b, dtype=float) - division.x0
-    if np.ndim(t) == 0:
-        head = np.maximum(t, 0.0) ** bp1
-    else:
-        head = np.zeros(t.shape)
-        flat, t = head.reshape(-1), t.reshape(-1)
-        rise = np.flatnonzero(~(t <= 0.0))
-        flat[rise] = t[rise] ** bp1
-    return division.x0 + (bp1 * np.asarray(E, dtype=float) + head) ** (1.0 / bp1)
+    t = x_b - division.x0
+    head = np.zeros(t.shape)
+    flat, t = head.reshape(-1), t.reshape(-1)
+    rise = np.flatnonzero(~(t <= 0.0))
+    flat[rise] = t[rise] ** bp1
+    return division.x0 + (bp1 * E + head) ** (1.0 / bp1)
 
 
 def lifetime(growth, birth_size, division_size, v):

@@ -33,6 +33,7 @@ def grid():
     """(label, config) for both hazard modes, two betas, both growth laws,
     both splits, both kernels and both root rates."""
     law = AlphaFamily(TruncatedGaussian(0.0, 2.0, 0.7), 0.6)
+    growth_labels = {"Exponential": "exp", "Linear": "linear"}
     for mode, beta, growth, split, kernel, root in itertools.product(
         ("unit_size", "unit_time"),
         (0.5, 2.0),
@@ -41,7 +42,8 @@ def grid():
         (Memoryless(law), AutoRegressive(law, 0.5)),
         (FixedRate(1.0), DrawnFromKernel()),
     ):
-        parts = [mode, repr(beta), growth.name] + [type(x).__name__ for x in (split, kernel, root)]
+        parts = [mode, repr(beta), growth_labels[type(growth).__name__]]
+        parts += [type(x).__name__ for x in (split, kernel, root)]
         label = "/".join(parts)
         division = SizeDivisionRate(1.0, beta, mode)
         yield label, SimConfig(division, growth, split, kernel, horizon=HORIZON, root_size=2.0, root_rate=root)

@@ -14,6 +14,7 @@ from malthus.numerics import (
     NonConvergenceError,
     RngStream,
     Tolerance,
+    cell_base,
     child_key,
     find_root_decreasing,
     integrate,
@@ -169,27 +170,27 @@ def test_brent_exhaustion_falls_back_to_bisection():
 # --- random stream -----------------------------------------------------------
 
 
+def _draws(seed, stream, n):
+    return uniforms_at(RngStream(seed, stream).base, np.arange(n, dtype=np.uint64))
+
+
 def test_stream_reproducible_and_distinct():
-    assert np.array_equal(RngStream(123, 7).uniforms(64), RngStream(123, 7).uniforms(64))
-    assert not np.array_equal(RngStream(123, 8).uniforms(64), RngStream(123, 7).uniforms(64))
-    assert not np.array_equal(RngStream(124, 7).uniforms(64), RngStream(123, 7).uniforms(64))
+    assert np.array_equal(_draws(123, 7, 64), _draws(123, 7, 64))
+    assert not np.array_equal(_draws(123, 8, 64), _draws(123, 7, 64))
+    assert not np.array_equal(_draws(124, 7, 64), _draws(123, 7, 64))
 
 
 @given(st.integers(0, 2**32), st.integers(0, 2**20), st.integers(0, 2**20))
 @settings(deadline=None, max_examples=60)
 def test_draws_are_pure_functions_of_position(seed, stream, skip):
-    # reading draw k is independent of whether earlier draws were consumed
-    a = RngStream(seed, stream)
-    a.uniforms(skip % 257)
-    tail = a.uniforms(5)
-    b = RngStream(seed, stream)
-    b.uniforms(skip % 257)
-    assert np.array_equal(tail, b.uniforms(5))
+    # reading draw k is independent of whether earlier draws were read
+    skip %= 257
+    tail = uniforms_at(RngStream(seed, stream).base, np.arange(skip, skip + 5, dtype=np.uint64))
+    assert np.array_equal(tail, _draws(seed, stream, skip + 5)[skip:])
 
 
 def test_uniform_ranges():
-    r = RngStream(5, 0)
-    u = r.uniforms(10_000)
+    u = _draws(5, 0, 10_000)
     assert np.all((0.0 <= u) & (u < 1.0))
     base = RngStream(5, 1).base
     v = open_uniforms_at(base, np.arange(10_000, dtype=np.uint64))
@@ -203,12 +204,17 @@ def test_substream_keys_decorrelate():
     k0 = child_key(np.uint64(1), 0)
     k1 = child_key(np.uint64(1), 1)
     assert int(k0) != int(k1)
-    s0 = r.substream(int(k0)).uniforms(8)
-    s1 = r.substream(int(k1)).uniforms(8)
+    counters = np.arange(8, dtype=np.uint64)
+    s0 = uniforms_at(cell_base(r.base, k0), counters)
+    s1 = uniforms_at(cell_base(r.base, k1), counters)
     assert not np.array_equal(s0, s1)
 
 
 def test_counter_indexing_matches_stream():
-    r = RngStream(77, 3)
-    direct = uniforms_at(r.base, np.arange(6, dtype=np.uint64))
-    assert np.array_equal(r.uniforms(6), direct)
+    # a (cells x counters) block holds each cell's draws at those counters
+    bases = cell_base(RngStream(77, 3).base, np.arange(4, dtype=np.uint64))
+    counters = np.arange(6, dtype=np.uint64)
+    block = uniforms_at(bases[:, None], counters)
+    for i, b in enumerate(bases):
+        assert np.array_equal(block[i], uniforms_at(b, counters))
+        assert block[i, 5] == uniforms_at(b, np.uint64(5))

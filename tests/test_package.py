@@ -1,11 +1,13 @@
 """The package's public surface."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import malthus
+import malthus.cli
 
 
 def test_all_lists_every_public_import_and_resolves():
@@ -30,3 +32,26 @@ def test_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_and_restores_every_target():
+    # bench/tracing.py patches package names from outside; a deleted or
+    # renamed target breaks install, and uninstall must undo every patch
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = [malthus.age_model, malthus.cli, malthus.estimator, malthus.size_sim, malthus.size_sim.TreeResult]
+    before = [dict(vars(obj)) for obj in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(malthus)
+        patched = list(tracer._patched)
+        assert patched and all(getattr(obj, attr) is not orig for obj, attr, orig in patched)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(obj, attr) is orig for obj, attr, orig in patched)
+    for obj, saved in zip(owners, before):
+        now = vars(obj)
+        assert now.keys() == saved.keys()
+        assert all(now[k] is saved[k] for k in saved)

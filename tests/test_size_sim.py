@@ -1,5 +1,7 @@
 """Division trees: samplers, genealogy invariants, reproducibility."""
+import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +14,7 @@ from scipy.special import ndtri
 
 import golden_trees
 from conftest import TG_CV
-from malthus.age_model import AlphaFamily, Dirac, TruncatedGaussian, UniformLaw
+from malthus.age_model import AlphaFamily, Dirac, DiscreteMixture, TruncatedGaussian, UniformLaw
 from malthus import size_sim
 from malthus.numerics import RngStream, cell_base, open_uniforms_at, uniforms_at
 from malthus.size_sim import (
@@ -111,8 +113,19 @@ def test_inverse_from_matches_clipped_power(beta):
     expect = 1.0 + (bp1 * E + np.maximum(x_b - 1.0, 0.0) ** bp1) ** (1.0 / bp1)
     assert np.array_equal(_inverse_from(div, x_b, E), expect)
     assert np.array_equal(_inverse_from(div, x_b.reshape(5, -1), E.reshape(5, -1)), expect.reshape(5, -1))
-    for x, e in zip(edge, E):  # scalars, through scalar pow
-        assert _inverse_from(div, x, e) == 1.0 + (bp1 * e + max(x - 1.0, 0.0) ** bp1) ** (1.0 / bp1)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 3.7])
+def test_scalar_division_size_equals_array_entry(beta):
+    # a scalar call gives the bits the same values get inside an array
+    div = SizeDivisionRate(1.0, beta, "unit_size")
+    rng = np.random.default_rng(int(10 * beta) + 1)
+    x_b = np.concatenate([[0.2, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)], rng.uniform(0.1, 3.0, 996)])
+    u = rng.uniform(0.0, 1.0, x_b.size)
+    s = sample_division_size(div, x_b, u)
+    scalars = [sample_division_size(div, x, v) for x, v in zip(x_b.tolist(), u.tolist())]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(scalars, s)
 
 
 def test_division_size_propagates_nan_birth_size():
@@ -575,10 +588,100 @@ def test_config_digest_tracks_content():
     b = make_config(horizon=6.5)
     assert a.digest != b.digest
     assert a.digest == make_config(horizon=6.0).digest
-    text = a.canonical()
-    assert "horizon=6" in text and "split=sym" in text
     # an AlphaFamily kernel law is resolved once, on construction
     assert a.kernel.law == TG.contract(0.4)
+
+
+def _numbers(value):
+    """``value`` as a float, an np.float64 and, when integral, an int (and
+    as -0.0 at zero): forms equal under ``==``."""
+    forms = [float(value), np.float64(value)]
+    if float(value).is_integer():
+        forms.append(int(value))
+    if value == 0:
+        forms.append(-0.0)
+    return st.sampled_from(forms)
+
+
+@st.composite
+def _equal_configs(draw):
+    """Two configs of the same values, each number drawn in its own form."""
+    pick = lambda *options: draw(st.sampled_from(options))
+    x0, beta, mode = pick(0, 1, 1.5), pick(0, 0.5, 2), pick("unit_size", "unit_time")
+    growth, split, kernel, law, root = pick(0, 1), pick(0, 1), pick(0, 1), pick(0, 1, 2, 3, 4), pick(0, 1)
+    eps, theta, alpha, w = pick(0, 0.25), pick(0, 0.5, 1), pick(0.5, 1), pick(0.25, 0.5)
+    horizon, root_size, rate, max_cells = pick(1, 6, 7.5), pick(0.5, 2), pick(1, 1.5), pick(1000, 10_000_000)
+
+    def build():
+        num = lambda v: draw(_numbers(v))
+        rho = [
+            lambda: Dirac(num(1)),
+            lambda: UniformLaw(num(0), num(2)),
+            lambda: TruncatedGaussian(num(0.5), num(1.5), num(0.5)),
+            lambda: DiscreteMixture(((num(0.5), num(w)), (num(1.5), num(1 - w)))),
+            lambda: AlphaFamily(TG, num(alpha)),
+        ][law]()
+        return SimConfig(
+            SizeDivisionRate(num(x0), num(beta), mode),
+            (Exponential(), Linear())[growth],
+            Symmetric() if split == 0 else UniformAsymmetric(num(eps)),
+            Memoryless(rho) if kernel == 0 else AutoRegressive(rho, num(theta)),
+            horizon=num(horizon),
+            root_size=num(root_size),
+            root_rate=FixedRate(num(rate)) if root == 0 else DrawnFromKernel(),
+            max_cells=num(max_cells),
+        )
+
+    return build(), build()
+
+
+@given(_equal_configs())
+@example((make_config(horizon=10), make_config(horizon=10.0)))
+@example((make_config(division=SizeDivisionRate(np.float64(1.0))), make_config(division=SizeDivisionRate(1.0))))
+@settings(deadline=None, max_examples=100)
+def test_equal_configs_share_a_digest(pair):
+    a, b = pair
+    assert a == b
+    assert a.digest == b.digest
+
+
+def _nudged(obj):
+    """Copies of ``obj`` that differ from it in exactly one number or
+    string, however deep in its pieces that sits."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            for v in _nudged(getattr(obj, f.name)):
+                yield dataclasses.replace(obj, **{f.name: v})
+    elif isinstance(obj, tuple):
+        for i, x in enumerate(obj):
+            for v in _nudged(x):
+                yield obj[:i] + (v,) + obj[i + 1:]
+    elif isinstance(obj, str):
+        yield {"unit_size": "unit_time", "unit_time": "unit_size"}[obj]
+    elif isinstance(obj, int):
+        yield obj + 1
+    else:  # one ulp toward zero, or up from zero, stays valid
+        yield float(np.nextafter(obj, 0.0 if obj > 0 else 1.0))
+
+
+def test_digest_changes_with_any_field():
+    # every piece type crossed with every other, and each of their configs
+    # with one number or string moved: all unequal, so all digests differ
+    # (max_cells moves to 2**53 + 1, which no float holds)
+    laws = (Dirac(1.25), UniformLaw(0.5, 1.5), TruncatedGaussian(0.25, 1.75, 0.7), DiscreteMixture(((0.5, 0.25), (1.5, 0.75))))
+    bases = [
+        SimConfig(SizeDivisionRate(1.0, 2.0, "unit_time"), growth, split, kernel, horizon=6.0, root_rate=root, max_cells=2**53)
+        for growth, split, kernel, root in itertools.product(
+            (Exponential(), Linear()),
+            (Symmetric(), UniformAsymmetric(0.2)),
+            [Memoryless(law) for law in laws] + [AutoRegressive(law, 0.5) for law in laws],
+            (FixedRate(1.5), DrawnFromKernel()),
+        )
+    ]
+    configs = bases + [c for base in bases for c in _nudged(base)]
+    assert all(c != base for base in bases for c in _nudged(base))
+    assert len(configs) > 5 * len(bases)
+    assert len({c.digest for c in configs}) == len(configs)
 
 
 def test_config_validation():
