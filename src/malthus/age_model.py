@@ -78,8 +78,24 @@ _SIGN_SAMPLES = 4096  # midpoints at which sign_condition reads B' - B^2
 # ---------------------------------------------------------------------------
 
 
+class _DivisionRate:
+    """What every division rate B shares: S = exp(-int_0^a B), f_B = B S,
+    and by default support [0, inf) with no terminal atom and no kinks."""
+
+    support_start = 0.0
+    support_end = math.inf
+    atom_mass = 0.0
+    kinks = ()
+
+    def survival(self, a):
+        return np.exp(-self.cumulative(a))
+
+    def density(self, a):
+        return self.hazard(a) * self.survival(a)
+
+
 @dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(_DivisionRate):
     """B(a) = b: exponentially distributed division age."""
 
     b: float
@@ -87,11 +103,6 @@ class ConstantRate:
     def __post_init__(self):
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ValueError("b must be positive and finite")
-
-    support_start = 0.0
-    support_end = math.inf
-    atom_mass = 0.0
-    kinks: tuple = ()
 
     def hazard(self, a):
         a = np.asarray(a, dtype=float)
@@ -104,18 +115,12 @@ class ConstantRate:
     def cumulative(self, a):
         return self.b * np.asarray(a, dtype=float)
 
-    def survival(self, a):
-        return np.exp(-self.cumulative(a))
-
-    def density(self, a):
-        return self.hazard(a) * self.survival(a)
-
     def cutoff(self, eps: float = TAIL_EPS) -> float:
         return -math.log(eps) / self.b
 
 
 @dataclass(frozen=True)
-class PowerLagRate:
+class PowerLagRate(_DivisionRate):
     """B(a) = (a - lag)^beta for a >= lag, zero before the lag."""
 
     beta: float
@@ -130,9 +135,6 @@ class PowerLagRate:
     @property
     def support_start(self) -> float:
         return self.lag
-
-    support_end = math.inf
-    atom_mass = 0.0
 
     @property
     def kinks(self) -> tuple:
@@ -160,18 +162,12 @@ class PowerLagRate:
         t = np.maximum(a - self.lag, 0.0)
         return t ** (self.beta + 1.0) / (self.beta + 1.0)
 
-    def survival(self, a):
-        return np.exp(-self.cumulative(a))
-
-    def density(self, a):
-        return self.hazard(a) * self.survival(a)
-
     def cutoff(self, eps: float = TAIL_EPS) -> float:
         return self.lag + ((self.beta + 1.0) * (-math.log(eps))) ** (1.0 / (self.beta + 1.0))
 
 
 @dataclass(frozen=True)
-class TabulatedRate:
+class TabulatedRate(_DivisionRate):
     """B given on a grid, linearly interpolated; support ends at the last age.
 
     The cumulative hazard is the exact integral of the interpolant
@@ -192,6 +188,8 @@ class TabulatedRate:
             raise ValueError("age grid must start at 0")
         if any(b <= a for a, b in zip(ages_t, ages_t[1:])):
             raise ValueError("age grid must be strictly increasing")
+        if not all(map(math.isfinite, ages_t + values_t)):
+            raise ValueError("ages and rate values must be finite")
         if any(v < 0.0 for v in values_t):
             raise ValueError("rate values must be non-negative")
         object.__setattr__(self, "ages", ages_t)
@@ -202,8 +200,6 @@ class TabulatedRate:
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_v", v)
         object.__setattr__(self, "_cum", cum)
-
-    support_start = 0.0
 
     @property
     def support_end(self) -> float:
@@ -238,17 +234,10 @@ class TabulatedRate:
         return self._cum[idx] + 0.5 * (b0 + ba) * (ac - a0)
 
     def survival(self, a):
+        # the survival left at the end divides there, so f_B = B S is 0 past it
         a = np.asarray(a, dtype=float)
         s = np.exp(-self.cumulative(a))
         return np.where(a >= self.support_end, 0.0, s)
-
-    def density(self, a):
-        a = np.asarray(a, dtype=float)
-        return np.where(
-            a < self.support_end,
-            self.hazard(a) * np.exp(-self.cumulative(a)),
-            0.0,
-        )
 
     def cutoff(self, eps: float = TAIL_EPS) -> float:
         return self.support_end
@@ -259,8 +248,29 @@ class TabulatedRate:
 # ---------------------------------------------------------------------------
 
 
+class _RateLaw:
+    """What every aging-rate law shares: the CV and the mean-preserving
+    contraction v_bar + alpha (V - v_bar), whose alpha = 0 end is the Dirac
+    at the mean; each law contracts itself for alpha > 0 in ``_contract``."""
+
+    @property
+    def cv(self) -> float:
+        return math.sqrt(self.variance) / self.mean
+
+    def contract(self, alpha: float):
+        alpha = _check_alpha(alpha)
+        return Dirac(self.mean) if alpha == 0.0 else self._contract(alpha)
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError("alpha must lie in [0, 1]")
+    return alpha
+
+
 @dataclass(frozen=True)
-class Dirac:
+class Dirac(_RateLaw):
     """All cells share the rate v_bar."""
 
     v_bar: float
@@ -274,7 +284,6 @@ class Dirac:
         return self.v_bar
 
     variance = 0.0
-    cv = 0.0
     is_degenerate = True
 
     @property
@@ -287,8 +296,7 @@ class Dirac:
     def density(self, v):
         raise ValueError("Dirac law has no density")
 
-    def contract(self, alpha: float) -> "Dirac":
-        _check_alpha(alpha)
+    def _contract(self, alpha: float) -> "Dirac":
         return self
 
 
@@ -311,27 +319,47 @@ def _gl_on(a, b, n: int = 16):
 
 
 @dataclass(frozen=True)
-class TruncatedGaussian:
-    """Gaussian with sd sigma_eta restricted to [v_min, v_max], centered at
-    the midpoint v_bar = (v_min + v_max) / 2 so the mean is exact."""
+class _Window(_RateLaw):
+    """A law with a density on the finite window [v_min, v_max], symmetric
+    about its midpoint, the mean; contraction shrinks the window about it."""
 
     v_min: float
     v_max: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.v_min < self.v_max < math.inf):
+            raise ValueError("need 0 <= v_min < v_max < inf")
+
+    @property
+    def mean(self) -> float:
+        return 0.5 * (self.v_min + self.v_max)
+
+    is_degenerate = False
+
+    @property
+    def support(self) -> tuple:
+        return (self.v_min, self.v_max)
+
+    def _contract(self, alpha: float):
+        m = self.mean
+        return self._on_window(m - alpha * (m - self.v_min), m + alpha * (self.v_max - m), alpha)
+
+
+@dataclass(frozen=True)
+class TruncatedGaussian(_Window):
+    """Gaussian with sd sigma_eta restricted to [v_min, v_max], centered at
+    the midpoint v_bar = (v_min + v_max) / 2 so the mean is exact."""
+
     sigma_eta: float
 
     def __post_init__(self):
-        if not (self.v_min >= 0.0 and self.v_max > self.v_min):
-            raise ValueError("need 0 <= v_min < v_max")
+        super().__post_init__()
         if not (self.sigma_eta > 0.0 and math.isfinite(self.sigma_eta)):
             raise ValueError("sigma_eta must be positive and finite")
         if (self.v_max - self.v_min) / self.sigma_eta < 1e-3:
             # the symmetric-moment formulas cancel catastrophically here;
             # a flat law should be UniformLaw instead
             raise ValueError("window too narrow relative to sigma_eta; use UniformLaw")
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.v_min + self.v_max)
 
     @property
     def _beta(self) -> float:
@@ -348,16 +376,6 @@ class TruncatedGaussian:
         phi_b = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
         return self.sigma_eta ** 2 * (1.0 - 2.0 * b * phi_b / self._mass)
 
-    @property
-    def cv(self) -> float:
-        return math.sqrt(self.variance) / self.mean
-
-    is_degenerate = False
-
-    @property
-    def support(self) -> tuple:
-        return (self.v_min, self.v_max)
-
     def density(self, v):
         v = np.asarray(v, dtype=float)
         z = (v - self.mean) / self.sigma_eta
@@ -368,46 +386,17 @@ class TruncatedGaussian:
         x, w = _gl_on(self.v_min, self.v_max, _GL_NODES)
         return x, w * self.density(x)
 
-    def contract(self, alpha: float) -> "TruncatedGaussian | Dirac":
-        alpha = _check_alpha(alpha)
-        if alpha == 0.0:
-            return Dirac(self.mean)
-        m = self.mean
-        return TruncatedGaussian(
-            m - alpha * (m - self.v_min),
-            m + alpha * (self.v_max - m),
-            alpha * self.sigma_eta,
-        )
+    def _on_window(self, lo: float, hi: float, alpha: float) -> "TruncatedGaussian":
+        return TruncatedGaussian(lo, hi, alpha * self.sigma_eta)
 
 
 @dataclass(frozen=True)
-class UniformLaw:
+class UniformLaw(_Window):
     """Flat density on [v_min, v_max]."""
-
-    v_min: float
-    v_max: float
-
-    def __post_init__(self):
-        if not (self.v_min >= 0.0 and self.v_max > self.v_min):
-            raise ValueError("need 0 <= v_min < v_max")
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.v_min + self.v_max)
 
     @property
     def variance(self) -> float:
         return (self.v_max - self.v_min) ** 2 / 12.0
-
-    @property
-    def cv(self) -> float:
-        return math.sqrt(self.variance) / self.mean
-
-    is_degenerate = False
-
-    @property
-    def support(self) -> tuple:
-        return (self.v_min, self.v_max)
 
     def density(self, v):
         v = np.asarray(v, dtype=float)
@@ -421,16 +410,12 @@ class UniformLaw:
         x, w = _gl_on(self.v_min, self.v_max, _GL_NODES)
         return x, w / (self.v_max - self.v_min)
 
-    def contract(self, alpha: float) -> "UniformLaw | Dirac":
-        alpha = _check_alpha(alpha)
-        if alpha == 0.0:
-            return Dirac(self.mean)
-        m = self.mean
-        return UniformLaw(m - alpha * (m - self.v_min), m + alpha * (self.v_max - m))
+    def _on_window(self, lo: float, hi: float, alpha: float) -> "UniformLaw":
+        return UniformLaw(lo, hi)
 
 
 @dataclass(frozen=True)
-class DiscreteMixture:
+class DiscreteMixture(_RateLaw):
     """Finite mixture of rate atoms; weights must sum to one."""
 
     atoms: tuple  # ((v, weight), ...)
@@ -439,8 +424,8 @@ class DiscreteMixture:
         atoms_t = tuple((float(v), float(w)) for v, w in atoms)
         if not atoms_t:
             raise ValueError("need at least one atom")
-        if any(v <= 0.0 or w < 0.0 for v, w in atoms_t):
-            raise ValueError("atoms need positive locations and non-negative weights")
+        if not all(0.0 < v < math.inf and 0.0 <= w < math.inf for v, w in atoms_t):
+            raise ValueError("atoms need positive finite locations and non-negative finite weights")
         if abs(sum(w for _, w in atoms_t) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "atoms", atoms_t)
@@ -453,10 +438,6 @@ class DiscreteMixture:
     def variance(self) -> float:
         m = self.mean
         return sum(w * (v - m) ** 2 for v, w in self.atoms)
-
-    @property
-    def cv(self) -> float:
-        return math.sqrt(self.variance) / self.mean
 
     @property
     def is_degenerate(self) -> bool:
@@ -475,19 +456,9 @@ class DiscreteMixture:
     def density(self, v):
         raise ValueError("discrete mixture has no density")
 
-    def contract(self, alpha: float) -> "DiscreteMixture | Dirac":
-        alpha = _check_alpha(alpha)
+    def _contract(self, alpha: float) -> "DiscreteMixture":
         m = self.mean
-        if alpha == 0.0:
-            return Dirac(m)
         return DiscreteMixture(tuple((m + alpha * (v - m), w) for v, w in self.atoms))
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -610,8 +581,6 @@ def _resolvent_factory(B, law) -> Callable[[float], float]:
 
 def malthus_reference(B, v_bar: float, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
     """Growth exponent when every cell ages at exactly v_bar."""
-    if not (v_bar > 0.0 and math.isfinite(v_bar)):
-        raise ValueError("v_bar must be positive and finite")
     return find_root_decreasing(_resolvent_factory(B, Dirac(v_bar)), 1.0, tol)
 
 

@@ -11,6 +11,7 @@ Simulation config files are flat ``key=value`` lines (``#`` comments);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -92,8 +93,53 @@ def _write_manifest(out_path: str, command: str, config_text: str, seed: int, st
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Every piece validates its own fields, so a ValueError raised while a
+    command builds its inputs is malformed input (exit code 2), not a
+    failed run."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _number(key: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} needs a number, got {text!r}") from None
+
+
+def _parse_piece(key: str, text: str, kinds: dict, *first):
+    """A model piece written ``name`` or ``name:x1,...,xn``, where
+    ``kinds[name]`` is (n, constructor); the constructor gets ``first``
+    and then the n numbers."""
+    name, sep, args = text.partition(":")
+    count, make = kinds.get(name.strip().lower(), (None, None))
+    numbers = args.split(",") if sep else []
+    if len(numbers) != count:
+        forms = (n + (":" + ",".join("x" * k) if k else "") for n, (k, _) in kinds.items())
+        raise ConfigError(f"{key} must be {' | '.join(forms)}, got {text!r}")
+    return make(*first, *(_number(key, t) for t in numbers))
+
+
+_LAWS = {
+    "gauss": (3, TruncatedGaussian),
+    "twopoint": (2, lambda v1, v2: DiscreteMixture([(v1, 0.5), (v2, 0.5)])),
+    "uniform": (2, UniformLaw),
+    "dirac": (1, Dirac),
+}
+_GROWTHS = {"exp": (0, Exponential), "linear": (0, Linear)}
+_SPLITS = {"sym": (0, Symmetric), "asym": (1, UniformAsymmetric)}
+_KERNELS = {"memoryless": (0, Memoryless), "ar": (1, AutoRegressive)}
+_ROOT_RATES = {"fixed": (1, FixedRate), "kernel": (0, DrawnFromKernel)}
+
+
 def _parse_baseline_flag(args):
-    """--baseline gauss | twopoint(v1,v2), rewritten into the config grammar.
+    """--baseline gauss | twopoint(v1,v2).
 
     gauss is centered at --vbar with a symmetric window of half-width vbar
     (the support must stay in [0, inf)); --vmin/--vmax override its ends.
@@ -102,36 +148,12 @@ def _parse_baseline_flag(args):
     if s == "gauss":
         vmin = 0.0 if args.vmin is None else args.vmin
         vmax = 2.0 * args.vbar if args.vmax is None else args.vmax
-        return _parse_law(f"gauss:{vmin!r},{vmax!r},{args.sigma_eta!r}")
+        return TruncatedGaussian(vmin, vmax, args.sigma_eta)
     if args.vmin is not None or args.vmax is not None:
         raise ConfigError("--vmin/--vmax apply to the gauss baseline")
     if s.startswith("twopoint(") and s.endswith(")"):
-        return _parse_law("twopoint:" + s[len("twopoint(") : -1])
+        return _parse_piece("--baseline", "twopoint:" + s[len("twopoint(") : -1], _LAWS)
     raise ConfigError(f"unknown baseline {args.baseline!r} (expected gauss or twopoint(v1,v2))")
-
-
-def _parse_law(text: str):
-    """Config-file rate laws: gauss:vmin,vmax,sigma | twopoint:v1,v2 |
-    uniform:vmin,vmax | dirac:v."""
-    kind, _, args = text.partition(":")
-    kind = kind.strip().lower()
-    try:
-        vals = [float(t) for t in args.split(",")] if args else []
-        if kind == "gauss":
-            vmin, vmax, sigma = vals
-            return TruncatedGaussian(vmin, vmax, sigma)
-        if kind == "twopoint":
-            v1, v2 = vals
-            return DiscreteMixture([(v1, 0.5), (v2, 0.5)])
-        if kind == "uniform":
-            vmin, vmax = vals
-            return UniformLaw(vmin, vmax)
-        if kind == "dirac":
-            (v,) = vals
-            return Dirac(v)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad rate law {text!r}: {e}") from e
-    raise ConfigError(f"unknown rate law kind {kind!r}")
 
 
 _CONFIG_DEFAULTS = {
@@ -174,85 +196,28 @@ def _read_config(path: Optional[str], sets: Sequence[str]) -> dict:
     return items
 
 
-def _number_of(items: dict, key: str, kind=float):
-    try:
-        return kind(items[key])
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad numeric config value for {key!r}") from e
-
-
 def _sim_config(items: dict, horizon: float, alpha: Optional[float] = None) -> SimConfig:
     """The configured experiment up to ``horizon``; its kernel law is the
-    baseline contracted by ``alpha``, or the baseline itself for None."""
-    try:
-        return _sim_config_inner(items, horizon, alpha)
-    except ConfigError:
-        raise
-    except ValueError as e:  # component constructors validate their own fields
-        raise ConfigError(str(e)) from e
-
-
-def _sim_config_inner(items: dict, horizon: float, alpha: Optional[float]) -> SimConfig:
-    mode = items["division.mode"]
-    if mode not in ("unit_size", "unit_time"):
-        raise ConfigError(f"division.mode must be unit_size or unit_time, got {mode!r}")
-    division = SizeDivisionRate(_number_of(items, "division.x0"), _number_of(items, "division.beta"), mode)
-
-    growth_key = items["growth"]
-    if growth_key == "exp":
-        growth = Exponential()
-    elif growth_key == "linear":
-        growth = Linear()
-    else:
-        raise ConfigError(f"growth must be exp or linear, got {growth_key!r}")
-
-    split_key = items["split"]
-    if split_key == "sym":
-        split = Symmetric()
-    elif split_key.startswith("asym:"):
-        split = UniformAsymmetric(float(split_key.split(":", 1)[1]))
-    else:
-        raise ConfigError(f"split must be sym or asym:eps, got {split_key!r}")
-
-    law = _parse_law(items["baseline"])
+    baseline contracted by ``alpha``, or the baseline itself for None.
+    Called inside :func:`_config_errors`."""
+    law = _parse_piece("baseline", items["baseline"], _LAWS)
     if alpha is not None:
         if alpha > 0.0 and law.is_degenerate:
             raise ConfigError("alpha > 0 requires a non-degenerate baseline")
         law = law.contract(alpha)
-
-    kernel_key = items["kernel"]
-    if kernel_key == "memoryless":
-        kernel = Memoryless(law)
-    elif kernel_key.startswith("ar:"):
-        kernel = AutoRegressive(law, float(kernel_key.split(":", 1)[1]))
-    else:
-        raise ConfigError(f"kernel must be memoryless or ar:theta, got {kernel_key!r}")
-
-    rr = items["root_rate"]
-    if rr == "kernel":
-        root_rate = DrawnFromKernel()
-    elif rr.startswith("fixed:"):
-        root_rate = FixedRate(float(rr.split(":", 1)[1]))
-    else:
-        raise ConfigError(f"root_rate must be fixed:v or kernel, got {rr!r}")
-
     return SimConfig(
-        division=division,
-        growth=growth,
-        split=split,
-        kernel=kernel,
+        division=SizeDivisionRate(
+            _number("division.x0", items["division.x0"]),
+            _number("division.beta", items["division.beta"]),
+            items["division.mode"],
+        ),
+        growth=_parse_piece("growth", items["growth"], _GROWTHS),
+        split=_parse_piece("split", items["split"], _SPLITS),
+        kernel=_parse_piece("kernel", items["kernel"], _KERNELS, law),
         horizon=horizon,
-        root_size=_number_of(items, "root_size"),
-        root_rate=root_rate,
+        root_size=_number("root_size", items["root_size"]),
+        root_rate=_parse_piece("root_rate", items["root_rate"], _ROOT_RATES),
     )
-
-
-def _check_workers() -> None:
-    """A malformed MALTHUS_THREADS is a config error, reported before any tree runs."""
-    try:
-        _worker_count()
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def _parse_rows(text: str) -> list:
@@ -264,10 +229,7 @@ def _parse_rows(text: str) -> list:
         if ":" not in part:
             raise ConfigError(f"rows entries must be alpha:T, got {part!r}")
         a, _, t = part.partition(":")
-        try:
-            rows.append((float(a), float(t)))
-        except ValueError as e:
-            raise ConfigError(f"rows entries must be numeric alpha:T, got {part!r}") from e
+        rows.append((_number("rows", a), _number("rows", t)))
     if not rows:
         raise ConfigError("rows is empty")
     return rows
@@ -279,36 +241,34 @@ def _parse_rows(text: str) -> list:
 
 
 def _cmd_age_curve(args) -> int:
-    baseline = _parse_baseline_flag(args)
+    with _config_errors():
+        baseline = _parse_baseline_flag(args)
+        if baseline.is_degenerate:
+            raise ConfigError("the baseline must be non-degenerate")
+        rates = [PowerLagRate(beta, args.lag) for beta in args.beta]
     alphas = [a for a in args.alpha if a > 0.0]
     rows = []
-    for beta in args.beta:
-        B = PowerLagRate(beta, args.lag)
+    for B in rates:
         curve = cv_curve(B, baseline, alphas)
         lam_ref = next(r.lam for r in curve if r.alpha == 0.0)
         for r in curve:
-            rows.append((beta, r.alpha, r.cv, r.lam, lam_ref, r.status))
+            rows.append((B.beta, r.alpha, r.cv, r.lam, lam_ref, r.status))
     _write_csv(args.out, ["beta", "alpha", "cv", "lambda", "lambda_reference", "solver_status"], rows)
     return 0
 
 
 def _cmd_age_perturb(args) -> int:
-    if args.b_const is not None:
-        B = ConstantRate(args.b_const)
-    else:
-        B = PowerLagRate(args.beta, args.lag)
-    baseline = _parse_baseline_flag(args)
+    with _config_errors():
+        B = PowerLagRate(args.beta, args.lag) if args.b_const is None else ConstantRate(args.b_const)
+        baseline = _parse_baseline_flag(args)
+        families = [AlphaFamily(baseline, alpha) for alpha in sorted(set(args.alphas) - {0.0})]
     lam0 = malthus_reference(B, baseline.mean)
     d2 = d2lambda_at_zero(B, baseline)
-    rows = []
-    for alpha in sorted({0.0, *args.alphas}):
-        if alpha == 0.0:
-            rows.append((0.0, lam0, lam0, 0.0, d2, 0.0))
-            continue
-        fam = AlphaFamily(baseline, alpha)
+    rows = [(0.0, lam0, lam0, 0.0, d2, 0.0)]
+    for fam in families:
         lam = malthus_with_variability(B, fam.law())
-        approx = lam0 + 0.5 * d2 * alpha * alpha
-        rows.append((alpha, lam, approx, lam - approx, d2, dlambda_dalpha(B, fam)))
+        approx = lam0 + 0.5 * d2 * fam.alpha * fam.alpha
+        rows.append((fam.alpha, lam, approx, lam - approx, d2, dlambda_dalpha(B, fam)))
     _write_csv(
         args.out,
         ["alpha", "lambda_exact", "lambda_quadratic_approx", "residual", "d2_at_zero", "dlambda_dalpha"],
@@ -320,22 +280,25 @@ def _cmd_age_perturb(args) -> int:
 def _cmd_size_mc(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     items = _read_config(args.config, args.set)
-    if "rows" not in items:
-        raise ConfigError("config needs rows=alpha:T[,alpha:T...]")
-    rows_spec = _parse_rows(items["rows"])
-    m_trees = _number_of(items, "M", int)
-    seed = _number_of(items, "seed", int)
-    estimator = items["estimator"]
-    if estimator not in ("biomass", "count"):
-        raise ConfigError(f"estimator must be biomass or count, got {estimator!r}")
-    if m_trees < 2:
-        raise ConfigError("M must be at least 2")
-    # validate every row's config before simulating anything
-    for alpha, T in rows_spec:
-        _sim_config(items, T, alpha)
-    _check_workers()
-    # cv_table contracts the uncontracted baseline row by row
-    table = cv_table(_sim_config(items, rows_spec[0][1]), rows_spec, m_trees, seed, estimator)
+    with _config_errors():
+        if "rows" not in items:
+            raise ConfigError("config needs rows=alpha:T[,alpha:T...]")
+        rows_spec = _parse_rows(items["rows"])
+        m_trees = _number("M", items["M"], int)
+        seed = _number("seed", items["seed"], int)
+        RngStream(seed)  # validates the seed
+        estimator = items["estimator"]
+        if estimator not in ("biomass", "count"):
+            raise ConfigError(f"estimator must be biomass or count, got {estimator!r}")
+        if m_trees < 2:
+            raise ConfigError("M must be at least 2")
+        # validate every row's config before simulating anything
+        for alpha, T in rows_spec:
+            _sim_config(items, T, alpha)
+        # cv_table contracts the uncontracted baseline row by row
+        base = _sim_config(items, rows_spec[0][1])
+        _worker_count()
+    table = cv_table(base, rows_spec, m_trees, seed, estimator)
     out_rows = []
     for row in table:
         e = row.estimate
@@ -361,8 +324,14 @@ def _cmd_size_mc(args) -> int:
 
 def _cmd_estimator_compare(args) -> int:
     items = _read_config(args.config, args.set)
-    cfg = _sim_config(items, max(args.horizons), args.alpha)
-    _check_workers()
+    with _config_errors():
+        cfg = _sim_config(items, max(args.horizons), args.alpha)
+        if min(args.horizons) <= 0.0:
+            raise ConfigError("--horizons must be positive")
+        RngStream(args.seed)  # validates the seed
+        if args.m < 2:
+            raise ConfigError("--m must be at least 2")
+        _worker_count()
     rows = estimator_sd_comparison(cfg, args.horizons, args.m, args.seed)
     _write_csv(args.out, ["T", "sd_biomass", "sd_count"], rows)
     return 0
@@ -370,8 +339,10 @@ def _cmd_estimator_compare(args) -> int:
 
 def _cmd_tree_dump(args) -> int:
     items = _read_config(args.config, args.set)
-    cfg = _sim_config(items, args.horizon, args.alpha)
-    tree = simulate_tree(cfg, RngStream(args.seed, args.stream))
+    with _config_errors():
+        cfg = _sim_config(items, args.horizon, args.alpha)
+        stream = RngStream(args.seed, args.stream)
+    tree = simulate_tree(cfg, stream)
     paths = tree.paths()
     # one % per row over tolist() scalars: the same text as _fmt, cell by
     # cell; formatted and written in blocks of rows, so the text of the

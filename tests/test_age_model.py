@@ -1,4 +1,5 @@
 """Division-rate laws, growth-exponent solvers, eigenvectors, perturbation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -48,7 +49,39 @@ def test_contraction_scales_cv_linearly(tg):
         assert abs(law.mean - 1.0) < 1e-15
         assert abs(fam.cv - alpha * TG_CV) < 1e-14
         assert abs(law.cv - alpha * TG_CV) < 1e-14
-    assert isinstance(tg.contract(0.0), Dirac)
+    for law in (tg, UniformLaw(0.4, 1.6), TWOPOINT):
+        assert law.contract(0.0) == Dirac(law.mean)
+
+
+def test_constant_rate_has_one_field():
+    # support, atom and kinks are class-wide defaults, not fields to override
+    assert [f.name for f in dataclasses.fields(ConstantRate)] == ["b"]
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiscreteMixture([(NAN, 0.5), (1.0, 0.5)]),
+        lambda: DiscreteMixture([(INF, 0.5), (1.0, 0.5)]),
+        lambda: DiscreteMixture([(0.5, NAN), (1.0, 0.5)]),
+        lambda: TruncatedGaussian(0.0, INF, 0.7),
+        lambda: TruncatedGaussian(NAN, 2.0, 0.7),
+        lambda: UniformLaw(0.0, INF),
+        lambda: UniformLaw(0.0, NAN),
+        lambda: TabulatedRate([0.0, NAN], [1.0, 1.0]),
+        lambda: TabulatedRate([0.0, INF], [1.0, 1.0]),
+        lambda: TabulatedRate([0.0, 1.0], [1.0, NAN]),
+        lambda: TabulatedRate([0.0, 1.0], [1.0, INF]),
+    ],
+    ids=["mix-nan-v", "mix-inf-v", "mix-nan-w", "tg-inf", "tg-nan", "uniform-inf", "uniform-nan",
+         "tab-nan-age", "tab-inf-age", "tab-nan-value", "tab-inf-value"],
+)
+def test_non_finite_parameters_are_rejected(build):
+    with pytest.raises(ValueError, match="finite|inf"):
+        build()
 
 
 def test_contraction_rejects_bad_alpha(tg):

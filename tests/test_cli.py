@@ -69,9 +69,17 @@ def test_age_curve_window_flags_require_gauss(tmp_path):
         ["--baseline", "twopoint(0.5,1.5,2)"],
         ["--vmin", "3", "--vmax", "1"],
         ["--sigma-eta", "-1"],
+        ["--baseline", "twopoint(nan,1.5)"],
+        ["--baseline", "twopoint(1,1)"],
+        ["--vmax", "inf"],
+        ["--beta", "-1"],
     ):
         argv = ["age-curve", "--beta", "0", "--alpha", "0.5", *flags, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2, flags
+    for flags in (["--beta", "-1"], ["--alphas", "2"], ["--alphas", "-0.5"]):
+        argv = ["age-perturb", "--alphas", "0.2", *flags, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2, flags
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_age_curve_output_is_pinned(tmp_path):
@@ -168,6 +176,10 @@ def test_size_mc_config_errors(tmp_path):
     assert main(["size-mc", "--config", cfg, "--set", "M=abc", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "seed=x", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "rows=a:4", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "seed=-1", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "baseline=uniform:0,inf", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "split=asym:0.1,0.2", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "growth=exp:1", "--out", out]) == 2
     bad = write_cfg(tmp_path, "rows 0.4:5\n", name="bad.cfg")
     assert main(["size-mc", "--config", bad, "--out", out]) == 2
 
@@ -181,6 +193,29 @@ def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert main(["estimator-compare", "--horizons", "4", "--m", "2", "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.count("MALTHUS_THREADS must be a positive integer") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimator-compare", "--horizons", "4", "--m", "1"],
+        ["estimator-compare", "--horizons", "4", "--m", "2", "--seed", "-1"],
+        ["estimator-compare", "--horizons", "4", "-1", "--m", "2"],
+        ["tree-dump", "--seed", "-1"],
+        ["tree-dump", "--stream", "-1"],
+    ],
+    ids=["m1", "seed", "horizon", "dump-seed", "dump-stream"],
+)
+def test_malformed_numeric_flags_are_config_errors(tmp_path, monkeypatch, argv):
+    # exit code 2 before any tree runs
+    def refuse(*args, **kw):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr("malthus.estimator.tree_measures", refuse)
+    monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_size_mc_alpha_zero_first_row_keeps_baseline(tmp_path):

@@ -592,6 +592,23 @@ def test_config_digest_tracks_content():
     assert a.kernel.law == TG.contract(0.4)
 
 
+@pytest.mark.parametrize(
+    "law, digest",
+    [
+        (TG.contract(0.4), "0f8719c174bd6b71"),
+        (UniformLaw(0.4, 1.6), "de67e1f85eae55e4"),
+        (DiscreteMixture([(0.5, 0.5), (1.5, 0.5)]), "5bc1ff0152cb50f7"),
+        (Dirac(1.0), "852fcc7789bfec56"),
+    ],
+    ids=["tg", "uniform", "twopoint", "dirac"],
+)
+def test_law_digests_are_pinned(law, digest):
+    # the digest reads a law's type name and fields, so it must not move
+    # when the laws share code through base classes
+    config = SimConfig(SizeDivisionRate(1.0, 2.0), kernel=AutoRegressive(law, 0.5))
+    assert config.digest == digest
+
+
 def _numbers(value):
     """``value`` as a float, an np.float64 and, when integral, an int (and
     as -0.0 at zero): forms equal under ``==``."""
