@@ -560,12 +560,27 @@ def _fb_table(B, ages: Sequence[float] = ()):
     return a, w, s
 
 
+def _kept_rows(w: np.ndarray) -> np.ndarray:
+    """Mask of the f_B table rows with weights ``w`` that the resolvent
+    keeps: all but the lightest, dropped, the massless lag before the onset
+    first, as long as their weights sum to at most eps/2 of the total (eps
+    the float64 machine epsilon).  Row i adds at most 2 w_i to H, so H
+    moves by at most eps * sum(w) at every lambda >= 0: less than one ulp
+    of H(0) = 2 sum(w)."""
+    order = np.argsort(w)
+    light = np.searchsorted(np.cumsum(w[order]), 0.5 * np.finfo(np.float64).eps * w.sum(), side="right")
+    keep = np.ones(w.size, dtype=bool)
+    keep[order[:light]] = False
+    return keep
+
+
 def _resolvent_factory(B, law) -> Callable[[float], float]:
     """H(lambda) = 2 iint exp(-lambda a / v) f_B(a) rho(v) dv da, one
-    weighted sum over the f_B table and the rate nodes per evaluation."""
+    weighted sum over the kept rows of the f_B table (:func:`_kept_rows`)
+    and the rate nodes per evaluation."""
     nodes, weights = law.quadrature()
     a, w, _ = _fb_table(B)
-    keep = w != 0.0  # the lag before the onset carries no division mass
+    keep = _kept_rows(w)
     w = w[keep]
     rate = np.multiply.outer(a[keep], -1.0 / nodes)
     # one buffer reused by every evaluation: a fresh array of this size
@@ -611,39 +626,66 @@ def malthus_general(
         2 iint hazard * exp(-int_0^a (lambda inv_speed + hazard)) rho dv da = 1,
 
     which reduces to :func:`malthus_with_variability` when hazard = B(a)
-    and inv_speed = 1/v.  Every rate node shares one composite Gauss grid on
-    [0, end], graded toward 0 and toward every age of ``kink_ages`` (where
-    an onset (a - lag)^beta sits); ``end`` doubles until every node's
-    accumulated hazard passes ln(1/TAIL_EPS).  The hazard on the last grid
-    tried and the inverse speed are evaluated once per node and accumulated
-    panel by panel through the rule's antiderivative matrix, so each
-    resolvent evaluation is a single weighted sum.
+    and inv_speed = 1/v.  Every rate node shares one composite Gauss grid,
+    grown one span at a time, [0, 1] and then [end, 2 end], until every
+    node's accumulated hazard passes ln(1/TAIL_EPS).  A span carries the
+    panels of :func:`_panel_edges` on [0, its end], graded toward 0 and
+    toward every age of ``kink_ages`` (where an onset (a - lag)^beta sits),
+    that fall inside it, so the hazard is evaluated once per node at the
+    points of the final grid and nowhere else.  The inverse speed is then
+    evaluated on the same points, and both are accumulated panel by panel
+    through the rule's antiderivative matrix, so each resolvent evaluation
+    is a single weighted sum; it skips the leading panels where the hazard
+    is 0 at every node, whose inverse speed enters only as a carried total.
     """
     nodes, weights = rho.quadrature()
     graded = (0.0, *kink_ages)
 
-    def on_grid(fn, a):
-        # fn(a, v) at every rate node: shape (rate node, *a.shape)
-        flat = a.ravel()
-        rows = [np.broadcast_to(np.asarray(fn(flat, float(v)), dtype=float), flat.shape) for v in nodes]
-        return np.stack(rows).reshape(nodes.size, *a.shape)
+    def on_grid(fn, t, out):
+        # fn(t, v) at every rate node, one row of ``out`` each
+        for row, v in zip(out, nodes):
+            row[...] = fn(t, float(v))
+        return out
 
-    end = 1.0
+    spans = []  # (edges, nodes, weights, hazard at every rate node) per span
+    mass = np.zeros(nodes.size)
+    start, end = 0.0, 1.0
     for _ in range(64):
         edges = _panel_edges(end, graded)
-        t, w_t = _gl_on(edges[:-1, None], edges[1:, None])
-        haz = on_grid(hazard, t)
-        if np.einsum("vpk,pk->v", haz, w_t).min() >= -math.log(TAIL_EPS):
+        edges = np.append(start, edges[edges > start])
+        t, w_t = (x.ravel() for x in _gl_on(edges[:-1, None], edges[1:, None]))
+        haz = on_grid(hazard, t, np.empty((nodes.size, t.size)))
+        spans.append((edges, t, w_t, haz))
+        mass += np.einsum("vi,i->v", haz, w_t)
+        if mass.min() >= -math.log(TAIL_EPS):
             break
-        end *= 2.0
+        start, end = end, 2.0 * end
     else:
         raise ValueError("hazard accumulates no mass")
 
-    wh = (weights[:, None, None] * w_t * haz).ravel()
-    ch, cp = _cumulative(np.stack([haz, on_grid(inv_speed, t)]), edges).reshape(2, -1)
+    edges = np.unique(np.concatenate([span[0] for span in spans]))
+    t, w_t = (np.concatenate([span[i] for span in spans]) for i in (1, 2))
+    both = np.empty((2, nodes.size, t.size))  # hazard and inverse speed
+    np.concatenate([span[3] for span in spans], axis=1, out=both[0])
+    del spans, haz
+    on_grid(inv_speed, t, both[1])
+    # the panels before the first with hazard at any rate node, the lag
+    # before an onset, add nothing to H: only their inverse speed carries on
+    per_panel = t.size // (edges.size - 1)
+    lag = int(np.argmax(both[0].any(axis=0))) // per_panel
+    carry = np.einsum("vi,i->v", both[1, :, : lag * per_panel], w_t[: lag * per_panel])
+    both, w_t = both[:, :, lag * per_panel :], w_t[lag * per_panel :]
+    wh = (weights[:, None] * w_t * both[0]).ravel()
+    cum = _cumulative(both.reshape(2, nodes.size, -1, per_panel), edges[lag:])
+    del both
+    cum[1] += carry[:, None, None]
+    ch, cp = cum.reshape(2, -1)
+    buf = np.empty_like(cp)  # reused by every evaluation, as in _resolvent_factory
 
     def H(lam: float) -> float:
-        return 2.0 * float(np.einsum("i,i->", wh, np.exp(-lam * cp - ch)))
+        np.multiply(cp, -lam, out=buf)
+        np.subtract(buf, ch, out=buf)
+        return 2.0 * float(np.einsum("i,i->", wh, np.exp(buf, out=buf)))
 
     return find_root_decreasing(H, 1.0, tol)
 

@@ -246,7 +246,8 @@ def _cmd_age_curve(args) -> int:
         if baseline.is_degenerate:
             raise ConfigError("the baseline must be non-degenerate")
         rates = [PowerLagRate(beta, args.lag) for beta in args.beta]
-    alphas = [a for a in args.alpha if a > 0.0]
+        # alpha = 0 is the anchor row every curve has; any other must lie in (0, 1]
+        alphas = [AlphaFamily(baseline, a).alpha for a in args.alpha if a != 0.0]
     rows = []
     for B in rates:
         curve = cv_curve(B, baseline, alphas)

@@ -2,9 +2,9 @@
 
 Root finding brackets by doubling and then polishes with Brent's method
 (implemented here, step for step as scipy's ``brentq``), with a plain
-bisection fallback.  ``integrate`` (adaptive Simpson, pre-split at
-declared kink points) is on no solver path: the age model integrates with
-Gauss tables of its own.  Random streams are counter based (SplitMix64
+bisection fallback; one solve evaluates its function once per abscissa.
+``integrate`` (adaptive Simpson, pre-split at declared kink points) is on
+no solver path: the age model integrates with Gauss tables of its own.  Random streams are counter based (SplitMix64
 style): every draw is a pure function of (seed, stream_index, key, counter),
 so simulations are reproducible regardless of evaluation order or thread
 count.
@@ -210,47 +210,57 @@ def find_root_decreasing(
 
     Brackets by doubling from [0, 1], polishes with Brent, and falls back
     to plain bisection if Brent fails or leaves residual above ``abs_tol``.
+    ``h`` is evaluated at most once per abscissa: the values are memoized
+    for the length of the call, so Brent starts from the bracket ends the
+    doubling already evaluated and its answer is certified with the value
+    of its last step.  The root is the same float as without the memo.
     ``tol`` may be a plain number, read as the absolute residual tolerance.
+    Raises :class:`NonConvergenceError` when bisection fails too, ``from``
+    Brent's exception if Brent raised one.
     """
     if not isinstance(tol, Tolerance):
         tol = Tolerance(abs_tol=float(tol))
-    f0 = float(h(0.0)) - target
+    seen = {}
+
+    def f(x: float) -> float:
+        y = seen.get(x)
+        if y is None:
+            y = seen[x] = float(h(x)) - target
+        return y
+
+    f0 = f(0.0)
     if not math.isfinite(f0):
         raise ValueError("h(0) is not finite")
     if not f0 > 0.0:
         raise ValueError("no positive root: h(0) <= target")
     lo = 0.0
     hi = 1.0
-    fhi = float(h(hi)) - target
     n = 0
-    while fhi > 0.0:
+    while f(hi) > 0.0:
         lo = hi
         hi *= 2.0
         n += 1
         if n > _MAX_DOUBLINGS:
             raise NonConvergenceError("no sign change found while doubling", best=hi)
-        fhi = float(h(hi)) - target
-    if fhi == 0.0:
+    if f(hi) == 0.0:
         return hi
 
     try:
-        x = _brent(
-            lambda s: float(h(s)) - target,
-            lo,
-            hi,
-            xtol=1e-15 * max(1.0, hi),
-            rtol=1e-15,
-            maxiter=max(tol.max_iter, 100),
-        )
-        if abs(float(h(x)) - target) <= tol.abs_tol:
-            return x
-    except (ValueError, RuntimeError):  # _brent's failures; NonConvergenceError is a RuntimeError
-        pass
+        x = _brent(f, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=1e-15, maxiter=max(tol.max_iter, 100))
+    except (ValueError, RuntimeError) as e:  # _brent's failures; NonConvergenceError is a RuntimeError
+        return _bisect(f, lo, hi, tol, f"Brent failed: {e}", e)
+    if abs(f(x)) <= tol.abs_tol:
+        return x
+    return _bisect(f, lo, hi, tol, f"Brent's root {x!r} left residual {abs(f(x))!r}", None)
 
-    # mandatory bisection fallback on the residual criterion
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: Tolerance, why: str, cause) -> float:
+    """Plain bisection of the bracket [lo, hi] of decreasing ``f`` on the
+    residual criterion, the fallback once Brent has failed (``why``; its
+    exception is ``cause``, or None if it left too large a residual)."""
     for _ in range(max(tol.max_iter, 200)):
         mid = 0.5 * (lo + hi)
-        fm = float(h(mid)) - target
+        fm = f(mid)
         if abs(fm) <= tol.abs_tol:
             return mid
         if fm > 0.0:
@@ -260,9 +270,11 @@ def find_root_decreasing(
         if hi - lo <= 4.0 * _EPS * max(1.0, hi):
             break
     best = 0.5 * (lo + hi)
-    if abs(float(h(best)) - target) <= tol.abs_tol:
+    if abs(f(best)) <= tol.abs_tol:
         return best
-    raise NonConvergenceError("root residual tolerance not met", best=best)
+    raise NonConvergenceError(
+        f"root residual tolerance {tol.abs_tol!r} not met: {why}; bisection ended at {best!r}", best=best
+    ) from cause
 
 
 # ---------------------------------------------------------------------------

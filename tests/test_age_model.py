@@ -29,6 +29,7 @@ from malthus.age_model import (
     malthus_with_variability,
     sign_condition,
 )
+from malthus.numerics import find_root_decreasing
 
 TWOPOINT = DiscreteMixture([(0.5, 0.5), (1.5, 0.5)])
 
@@ -191,6 +192,52 @@ def test_fractional_power_lag_matches_adaptive_quadrature():
 
     assert abs(malthus_with_variability(B, TWOPOINT) - oracle(TWOPOINT.atoms)) <= 1e-10
     assert abs(malthus_reference(B, 1.0) - oracle([(1.0, 1.0)])) <= 1e-10
+
+
+@pytest.mark.parametrize("law", [AlphaFamily(TruncatedGaussian(0.0, 2.0, 0.7), 0.5).law(), TWOPOINT], ids=["tg", "twopoint"])
+@pytest.mark.parametrize(
+    "B",
+    [*(PowerLagRate(beta, 1.0) for beta in (0.0, 0.25, 2.0, 7.0)), ConstantRate(1.0), witness_rate()],
+    ids=["beta0", "beta0.25", "beta2", "beta7", "const", "witness"],
+)
+def test_resolvent_pruning_moves_h_by_at_most_eps(B, law):
+    # the unpruned resolvent, every row of the f_B table, against the rows
+    # the resolvent keeps; the dropped rows' share of H is summed exactly
+    a, w, _ = age_model._fb_table(B)
+    nodes, weights = law.quadrature()
+    rate = np.multiply.outer(a, -1.0 / nodes)
+
+    def H_full(lam):
+        return 2.0 * float(np.einsum("i,i->", w, np.einsum("ij,j->i", np.exp(rate * lam), weights)))
+
+    lam = malthus_with_variability(B, law)
+    dropped = ~age_model._kept_rows(w)
+    bound = np.finfo(np.float64).eps * w.sum()
+    for x in (0.0, lam / 2.0, lam, 2.0 * lam):
+        terms = 2.0 * w[dropped] * np.einsum("ij,j->i", np.exp(rate[dropped] * x), weights)
+        assert math.fsum(terms) <= bound
+    full = find_root_decreasing(H_full, 1.0)
+    assert abs(lam - full) <= 4.0 * math.ulp(full)
+
+
+def test_general_solver_evaluates_the_hazard_once_per_grid_point(tg):
+    # the hazard is evaluated on the final grid only, where the inverse speed is
+    law = AlphaFamily(tg, 0.5).law()
+    for B in (PowerLagRate(0.0, 1.0), PowerLagRate(0.25, 1.0), PowerLagRate(7.0, 1.0)):
+        points = {"hazard": 0, "inv_speed": 0}
+
+        def counted(name, fn):
+            def wrapped(a, v):
+                points[name] += np.size(a)
+                return fn(a, v)
+
+            return wrapped
+
+        hazard = counted("hazard", lambda a, v: B.hazard(a))
+        inv_speed = counted("inv_speed", lambda a, v: 1.0 / v)
+        lam = malthus_general(hazard, inv_speed, law, kink_ages=B.kinks)
+        assert points["hazard"] == points["inv_speed"] > 0
+        assert abs(lam - malthus_with_variability(B, law)) <= 1e-10
 
 
 def test_solvers_use_no_adaptive_quadrature(tg, monkeypatch):

@@ -73,6 +73,11 @@ def test_age_curve_window_flags_require_gauss(tmp_path):
         ["--baseline", "twopoint(1,1)"],
         ["--vmax", "inf"],
         ["--beta", "-1"],
+        ["--alpha", "nan"],
+        ["--alpha", "-0.5"],
+        ["--alpha", "1.5"],
+        ["--alpha", "nan", "-0.5", "1.5"],
+        ["--alpha", "0", "0.5", "nan"],
     ):
         argv = ["age-curve", "--beta", "0", "--alpha", "0.5", *flags, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2, flags
@@ -80,6 +85,9 @@ def test_age_curve_window_flags_require_gauss(tmp_path):
         argv = ["age-perturb", "--alphas", "0.2", *flags, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2, flags
     assert not (tmp_path / "x.csv").exists()
+    # alpha = 0 is the anchor row of every curve, not an error
+    assert main(["age-curve", "--beta", "0", "--alpha", "0", "--out", str(tmp_path / "x.csv")]) == 0
+    assert [float(r["alpha"]) for r in read_csv(tmp_path / "x.csv")] == [0.0]
 
 
 def test_age_curve_output_is_pinned(tmp_path):

@@ -167,6 +167,70 @@ def test_brent_exhaustion_falls_back_to_bisection():
     assert abs(h(x)) <= DEFAULT_ROOT_TOL.abs_tol
 
 
+def unmemoized_root(h, tol=DEFAULT_ROOT_TOL):
+    """(root, evaluations) of the solve of h = 0 without a memo: doubling,
+    then _brent on the same bracket, then the residual check; root None
+    where Brent raises or leaves too large a residual."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return float(h(x))
+
+    f(0.0)
+    lo, hi = 0.0, 1.0
+    while f(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    try:
+        x = _brent(f, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=1e-15, maxiter=max(tol.max_iter, 100))
+    except (ValueError, RuntimeError):
+        return None, len(calls)
+    return (x if abs(f(x)) <= tol.abs_tol else None), len(calls)
+
+
+def decreasing(f):
+    """f, or -f where f(0) < 0: a closed form with a root of h = 0 past h(0) > 0."""
+    return f if f(0.0) > 0.0 else (lambda x: -f(x))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [resolvent_bracket(beta)[0] for beta in (0.0, 0.25, 2.0)] + [decreasing(f) for f, _, _ in CLOSED_FORMS],
+    ids=[f"resolvent-beta{b:g}" for b in (0.0, 0.25, 2.0)] + [f"closed-form-{i}" for i in range(len(CLOSED_FORMS))],
+)
+def test_root_evaluates_no_abscissa_twice(h):
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return h(x)
+
+    x = find_root_decreasing(recorded, 0.0, DEFAULT_ROOT_TOL)
+    assert len(seen) == len(set(seen))
+    expect, calls = unmemoized_root(h)
+    if expect is None:  # Brent failed; bisection found the root
+        assert abs(h(x)) <= DEFAULT_ROOT_TOL.abs_tol
+    else:
+        # the bracket ends and the certificate are the three repeats saved
+        assert x == expect and len(seen) == calls - 3
+
+
+def test_root_failure_chains_brents_exception():
+    # NaN where Brent's first secant step lands; bisection stalls at its edge
+    h = lambda x: math.nan if 0.4 < x < 0.6 else 1.0 - x
+    with pytest.raises(NonConvergenceError) as info:
+        find_root_decreasing(h, 0.5, DEFAULT_ROOT_TOL)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "NaN" in str(info.value)
+
+
+def test_root_failure_states_brents_residual():
+    # a step has no root: Brent converges to the jump, leaving residual 0.5
+    with pytest.raises(NonConvergenceError, match=r"residual 0\.5\b") as info:
+        find_root_decreasing(lambda x: 1.0 if x < 0.3 else 0.0, 0.5, DEFAULT_ROOT_TOL)
+    assert info.value.__cause__ is None and abs(info.value.best - 0.3) < 1e-12
+
+
 # --- random stream -----------------------------------------------------------
 
 
