@@ -293,9 +293,6 @@ class Dirac(_RateLaw):
     def quadrature(self):
         return np.asarray([self.v_bar]), np.asarray([1.0])
 
-    def density(self, v):
-        raise ValueError("Dirac law has no density")
-
     def _contract(self, alpha: float) -> "Dirac":
         return self
 
@@ -453,9 +450,6 @@ class DiscreteMixture(_RateLaw):
         w = np.asarray([w for _, w in self.atoms])
         return v, w
 
-    def density(self, v):
-        raise ValueError("discrete mixture has no density")
-
     def _contract(self, alpha: float) -> "DiscreteMixture":
         m = self.mean
         return DiscreteMixture(tuple((m + alpha * (v - m), w) for v, w in self.atoms))
@@ -510,23 +504,25 @@ def _panel_edges(end: float, graded: Iterable[float], splits: Iterable[float] = 
     return np.unique(np.concatenate(pieces))
 
 
+@functools.lru_cache(maxsize=1)
 def _antiderivative_matrix() -> np.ndarray:
     """Q[k, j] = int_{-1}^{x_k} l_j for the Lagrange basis l_j on the Gauss
     nodes x, with x_16 = 1 appended: row k of Q @ f(x) integrates the
     interpolant of f from -1 up to x_k, and the last row is the rule itself.
+    Built on first use, not at import, and shared read-only.
 
     l_j = sum_m (m + 1/2) w_j P_m(x_j) P_m, exact because the rule
     integrates degree 31, and the P_m integrate in closed form."""
     x, w = _gl_on(-1.0, 1.0)
     int_p = legval(np.append(x, 1.0), legint(np.eye(x.size), lbnd=-1.0))  # [m, k]
-    return np.einsum("mk,m,jm,j->kj", int_p, np.arange(x.size) + 0.5, legvander(x, x.size - 1), w)
+    Q = np.einsum("mk,m,jm,j->kj", int_p, np.arange(x.size) + 0.5, legvander(x, x.size - 1), w)
+    Q.setflags(write=False)
+    return Q
 
 
 def _cumulative(f: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """int_0^a f at every Gauss node a on the panels ``edges``, from the
-    values f[..., panel, node] there: the earlier panels' sum plus Q.
-    Q is built per call (~1 ms): at import its first Gauss rule would add
-    ~1 MiB of resident memory to every process that imports the package."""
+    values f[..., panel, node] there: the earlier panels' sum plus Q."""
     part = np.einsum("...pj,kj->...pk", f, _antiderivative_matrix()) * (0.5 * np.diff(edges))[:, None]
     whole = part[..., -1]
     return (np.cumsum(whole, axis=-1) - whole)[..., None] + part[..., :-1]
@@ -716,13 +712,12 @@ class EigenPair:
 def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> EigenPair:
     """Evaluate the explicit eigenvectors on a user grid.
 
-    Requires a rate law with a density (Dirac and atom mixtures are
-    rejected) and a division rate whose age law has no terminal atom.
+    Requires a rate law with a density, a window law (Dirac and atom
+    mixtures are rejected), and a division rate whose age law has no
+    terminal atom.
     """
-    try:
-        rho.density(np.asarray([rho.mean]))
-    except ValueError as e:
-        raise ValueError("eigenvectors require a rate law with a density") from e
+    if not isinstance(rho, _Window):
+        raise ValueError("eigenvectors require a rate law with a density")
     if float(B.atom_mass) > 1e-12:
         raise ValueError("division-age law leaks mass at its endpoint; refine the grid")
     a_nodes = np.asarray(a_nodes, dtype=float)

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands emit CSV tables (numeric cells fixed at 10 significant digits)
-and, for simulation runs, a JSON manifest holding the resolved config, the
-seed, and digests of the outputs so a run can be reproduced byte for byte.
+Subcommands emit CSV tables (numeric cells fixed at 10 significant digits);
+size-mc also writes a JSON manifest holding the resolved config, the seed,
+and digests of the outputs so a run can be reproduced byte for byte.
 
 Commands: age-curve, age-perturb, size-mc, estimator-compare, tree-dump.
 Simulation config files are flat ``key=value`` lines (``#`` comments);
-``--set key=value`` overrides individual entries.
+``--set key=value`` overrides individual entries, and a key the command
+does not read is an error.  The age commands' ``--baseline`` takes the
+grammar of the config's ``baseline=``.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .age_model import (
     malthus_reference,
     malthus_with_variability,
 )
-from .estimator import _worker_count, cv_table, estimator_sd_comparison
+from .estimator import _check_run, _worker_count, cv_table, estimator_sd_comparison
 from .numerics import RngStream
 from .size_sim import (
     AutoRegressive,
@@ -138,24 +140,6 @@ _KERNELS = {"memoryless": (0, Memoryless), "ar": (1, AutoRegressive)}
 _ROOT_RATES = {"fixed": (1, FixedRate), "kernel": (0, DrawnFromKernel)}
 
 
-def _parse_baseline_flag(args):
-    """--baseline gauss | twopoint(v1,v2).
-
-    gauss is centered at --vbar with a symmetric window of half-width vbar
-    (the support must stay in [0, inf)); --vmin/--vmax override its ends.
-    """
-    s = args.baseline.strip().lower()
-    if s == "gauss":
-        vmin = 0.0 if args.vmin is None else args.vmin
-        vmax = 2.0 * args.vbar if args.vmax is None else args.vmax
-        return TruncatedGaussian(vmin, vmax, args.sigma_eta)
-    if args.vmin is not None or args.vmax is not None:
-        raise ConfigError("--vmin/--vmax apply to the gauss baseline")
-    if s.startswith("twopoint(") and s.endswith(")"):
-        return _parse_piece("--baseline", "twopoint:" + s[len("twopoint(") : -1], _LAWS)
-    raise ConfigError(f"unknown baseline {args.baseline!r} (expected gauss or twopoint(v1,v2))")
-
-
 _CONFIG_DEFAULTS = {
     "division.mode": "unit_size",
     "division.x0": "1.0",
@@ -170,29 +154,34 @@ _CONFIG_DEFAULTS = {
     "seed": "1",
     "estimator": "biomass",
 }
+# every command with a config reads the model keys; size-mc also the run keys
+_RUN_KEYS = frozenset({"rows", "M", "seed", "estimator"})
+_MODEL_KEYS = frozenset(_CONFIG_DEFAULTS) - _RUN_KEYS
+_SIZE_MC_KEYS = _MODEL_KEYS | _RUN_KEYS
 
 
-def _read_config(path: Optional[str], sets: Sequence[str]) -> dict:
-    items = dict(_CONFIG_DEFAULTS)
+def _read_config(path: Optional[str], sets: Sequence[str], keys: frozenset) -> dict:
+    """The defaults among ``keys``, overridden by the file's lines, then by
+    the ``--set`` entries; a key outside ``keys`` is a config error."""
+    entries = []
     if path:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}") from e
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
-            k, _, v = line.partition("=")
-            items[k.strip()] = v.strip()
-    for s in sets:
-        if "=" not in s:
-            raise ConfigError(f"--set expects key=value, got {s!r}")
-        k, _, v = s.partition("=")
-        items[k.strip()] = v.strip()
+        lines = enumerate(text.splitlines(), 1)
+        entries += [(f"{path}:{ln}", raw) for ln, raw in lines if raw.strip() and not raw.strip().startswith("#")]
+    entries += [("--set", s) for s in sets]
+    items = {k: v for k, v in _CONFIG_DEFAULTS.items() if k in keys}
+    for where, entry in entries:
+        k, sep, v = entry.partition("=")
+        k = k.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value, got {entry!r}")
+        if k not in keys:
+            raise ConfigError(f"{where}: unknown key {k!r}; this command reads {', '.join(sorted(keys))}")
+        items[k] = v.strip()
     return items
 
 
@@ -222,7 +211,7 @@ def _sim_config(items: dict, horizon: float, alpha: Optional[float] = None) -> S
 
 def _parse_rows(text: str) -> list:
     rows = []
-    for part in text.replace(";", ",").split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
@@ -242,7 +231,7 @@ def _parse_rows(text: str) -> list:
 
 def _cmd_age_curve(args) -> int:
     with _config_errors():
-        baseline = _parse_baseline_flag(args)
+        baseline = _parse_piece("--baseline", args.baseline, _LAWS)
         if baseline.is_degenerate:
             raise ConfigError("the baseline must be non-degenerate")
         rates = [PowerLagRate(beta, args.lag) for beta in args.beta]
@@ -261,7 +250,7 @@ def _cmd_age_curve(args) -> int:
 def _cmd_age_perturb(args) -> int:
     with _config_errors():
         B = PowerLagRate(args.beta, args.lag) if args.b_const is None else ConstantRate(args.b_const)
-        baseline = _parse_baseline_flag(args)
+        baseline = _parse_piece("--baseline", args.baseline, _LAWS)
         families = [AlphaFamily(baseline, alpha) for alpha in sorted(set(args.alphas) - {0.0})]
     lam0 = malthus_reference(B, baseline.mean)
     d2 = d2lambda_at_zero(B, baseline)
@@ -280,7 +269,7 @@ def _cmd_age_perturb(args) -> int:
 
 def _cmd_size_mc(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    items = _read_config(args.config, args.set)
+    items = _read_config(args.config, args.set, _SIZE_MC_KEYS)
     with _config_errors():
         if "rows" not in items:
             raise ConfigError("config needs rows=alpha:T[,alpha:T...]")
@@ -289,10 +278,7 @@ def _cmd_size_mc(args) -> int:
         seed = _number("seed", items["seed"], int)
         RngStream(seed)  # validates the seed
         estimator = items["estimator"]
-        if estimator not in ("biomass", "count"):
-            raise ConfigError(f"estimator must be biomass or count, got {estimator!r}")
-        if m_trees < 2:
-            raise ConfigError("M must be at least 2")
+        _check_run(m_trees, estimator)
         # validate every row's config before simulating anything
         for alpha, T in rows_spec:
             _sim_config(items, T, alpha)
@@ -324,14 +310,13 @@ def _cmd_size_mc(args) -> int:
 
 
 def _cmd_estimator_compare(args) -> int:
-    items = _read_config(args.config, args.set)
+    items = _read_config(args.config, args.set, _MODEL_KEYS)
     with _config_errors():
         cfg = _sim_config(items, max(args.horizons), args.alpha)
         if min(args.horizons) <= 0.0:
             raise ConfigError("--horizons must be positive")
         RngStream(args.seed)  # validates the seed
-        if args.m < 2:
-            raise ConfigError("--m must be at least 2")
+        _check_run(args.m)
         _worker_count()
     rows = estimator_sd_comparison(cfg, args.horizons, args.m, args.seed)
     _write_csv(args.out, ["T", "sd_biomass", "sd_count"], rows)
@@ -339,7 +324,7 @@ def _cmd_estimator_compare(args) -> int:
 
 
 def _cmd_tree_dump(args) -> int:
-    items = _read_config(args.config, args.set)
+    items = _read_config(args.config, args.set, _MODEL_KEYS)
     with _config_errors():
         cfg = _sim_config(items, args.horizon, args.alpha)
         stream = RngStream(args.seed, args.stream)
@@ -370,18 +355,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="malthus", description="Growth exponents of structured cell populations")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_baseline_flags(q):
-        q.add_argument("--baseline", default="gauss", help="gauss or twopoint(v1,v2)")
-        q.add_argument("--vbar", type=float, default=1.0, help="mean rate (gauss window center)")
-        q.add_argument("--sigma-eta", type=float, default=0.7, dest="sigma_eta")
-        q.add_argument("--vmin", type=float, default=None)
-        q.add_argument("--vmax", type=float, default=None)
+    def add_baseline_flag(q):
+        q.add_argument(
+            "--baseline",
+            default=_CONFIG_DEFAULTS["baseline"],
+            help="rate law, written as baseline= in a config: gauss:vmin,vmax,sigma | twopoint:v1,v2 "
+            "| uniform:a,b | dirac:v (default %(default)s)",
+        )
 
     q = sub.add_parser("age-curve", help="growth exponent vs rate variability (age model)")
     q.add_argument("--beta", type=float, nargs="+", required=True)
     q.add_argument("--lag", type=float, default=0.0)
     q.add_argument("--alpha", type=float, nargs="+", required=True)
-    add_baseline_flags(q)
+    add_baseline_flag(q)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_age_curve)
 
@@ -391,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--beta", type=float, default=2.0)
     q.add_argument("--lag", type=float, default=1.0)
     q.add_argument("--alphas", type=float, nargs="+", required=True)
-    add_baseline_flags(q)
+    add_baseline_flag(q)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_age_perturb)
 

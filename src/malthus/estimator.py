@@ -106,6 +106,14 @@ def _worker_count() -> int:
     return n
 
 
+def _check_run(m_trees: int, estimator: str = "biomass") -> None:
+    """The tree count and statistic every Monte Carlo entry point needs."""
+    if m_trees < 2:
+        raise ValueError(f"need at least 2 trees, got {m_trees!r}")
+    if estimator not in ("biomass", "count"):
+        raise ValueError(f"estimator must be 'biomass' or 'count', got {estimator!r}")
+
+
 def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, m: int):
     """Expand the tree on stream ``offset + m`` into its measures; return,
     per horizon, the requested statistics, and the living count at the
@@ -160,10 +168,7 @@ def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset
 def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "biomass") -> MalthusEstimate:
     """Simulate ``m_trees`` independent trees on streams (seed, 0..m-1) and
     aggregate the per-tree statistics."""
-    if m_trees < 2:
-        raise ValueError("need at least 2 trees")
-    if estimator not in ("biomass", "count"):
-        raise ValueError("estimator must be 'biomass' or 'count'")
+    _check_run(m_trees, estimator)
     return _estimate(config, m_trees, seed, estimator, 0, _worker_count())
 
 
@@ -191,8 +196,9 @@ def cv_table(
     is alpha times the baseline CV.  Row i runs on streams
     (seed, i*m .. i*m + m - 1), so the table is reproducible row-by-row.
     Failures are recorded in-row with their exception type; a malformed
-    MALTHUS_THREADS raises before any row runs.
+    tree count, estimator or MALTHUS_THREADS raises before any row runs.
     """
+    _check_run(m_trees, estimator)
     workers = _worker_count()
     baseline = base.kernel.law
     out = []
@@ -219,8 +225,7 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     horizons = tuple(float(T) for T in horizons)
     if not horizons:
         raise ValueError("need at least one horizon")
-    if m_trees < 2:
-        raise ValueError("need at least 2 trees")
+    _check_run(m_trees)
     top = max(horizons)
     if not (top <= config.horizon):
         config = replace(config, horizon=top)

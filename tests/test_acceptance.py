@@ -135,7 +135,7 @@ def test_criterion_04_quadratic_expansion_order():
     t0 = time.perf_counter()
     B = ConstantRate(1.0)
     d2 = d2lambda_at_zero(B, TWOPOINT)
-    assert abs(d2 - (-0.25)) <= 1e-6  # -sigma^2 b vbar with sigma^2 = 0.25
+    assert abs(d2 - (-0.25)) <= 1e-6  # -sigma^2 b / vbar with sigma^2 = 0.25
     lam0 = malthus_reference(B, 1.0)
     resid = []
     for alpha in (0.2, 0.1, 0.05, 0.025):

@@ -28,7 +28,7 @@ def test_age_curve_two_point_values(tmp_path):
     out = tmp_path / "curve.csv"
     rc = main([
         "age-curve", "--beta", "0", "--alpha", "1.0",
-        "--baseline", "twopoint(0.5,1.5)", "--out", str(out),
+        "--baseline", "twopoint:0.5,1.5", "--out", str(out),
     ])
     assert rc == 0
     rows = read_csv(out)
@@ -57,21 +57,17 @@ def test_age_curve_multiple_betas(tmp_path):
         assert abs(float(r["cv"]) - float(r["alpha"]) * TG_CV) < 1e-9
 
 
-def test_age_curve_window_flags_require_gauss(tmp_path):
-    rc = main([
-        "age-curve", "--beta", "0", "--alpha", "0.5", "--baseline",
-        "twopoint(0.5,1.5)", "--vmin", "0.1", "--out", str(tmp_path / "x.csv"),
-    ])
-    assert rc == 2
-    # malformed baselines are config errors too, caught before any solve
+MALFORMED_LAWS = [
+    "gauss:3,1,0.7", "gauss:0,2,-1", "gauss:0,inf,0.7", "twopoint:a,b",
+    "twopoint:0.5,1.5,2", "twopoint:nan,1.5", "twopoint:1,1", "twopoint(0.5,1.5)",
+]
+
+
+def test_age_commands_reject_malformed_input(tmp_path, capsys):
+    # malformed baselines are config errors, rejected by the law checks
+    # (not by argparse) before any solve
     for flags in (
-        ["--baseline", "twopoint(a,b)"],
-        ["--baseline", "twopoint(0.5,1.5,2)"],
-        ["--vmin", "3", "--vmax", "1"],
-        ["--sigma-eta", "-1"],
-        ["--baseline", "twopoint(nan,1.5)"],
-        ["--baseline", "twopoint(1,1)"],
-        ["--vmax", "inf"],
+        *(["--baseline", law] for law in MALFORMED_LAWS),
         ["--beta", "-1"],
         ["--alpha", "nan"],
         ["--alpha", "-0.5"],
@@ -81,13 +77,37 @@ def test_age_curve_window_flags_require_gauss(tmp_path):
     ):
         argv = ["age-curve", "--beta", "0", "--alpha", "0.5", *flags, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2, flags
-    for flags in (["--beta", "-1"], ["--alphas", "2"], ["--alphas", "-0.5"]):
+        assert capsys.readouterr().err.startswith("config error: "), flags
+    for flags in (
+        *(["--baseline", law] for law in MALFORMED_LAWS),
+        ["--beta", "-1"],
+        ["--alphas", "2"],
+        ["--alphas", "-0.5"],
+    ):
         argv = ["age-perturb", "--alphas", "0.2", *flags, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2, flags
+        assert capsys.readouterr().err.startswith("config error: "), flags
     assert not (tmp_path / "x.csv").exists()
     # alpha = 0 is the anchor row of every curve, not an error
     assert main(["age-curve", "--beta", "0", "--alpha", "0", "--out", str(tmp_path / "x.csv")]) == 0
     assert [float(r["alpha"]) for r in read_csv(tmp_path / "x.csv")] == [0.0]
+
+
+def test_age_commands_read_baseline_like_the_config(tmp_path, capsys):
+    # one spelling of the rate law: --baseline takes every law baseline= does
+    out = tmp_path / "u.csv"
+    assert main(["age-curve", "--beta", "1", "--alpha", "0.5", "--baseline", "uniform:0.4,1.6", "--out", str(out)]) == 0
+    anchor, point = read_csv(out)
+    assert abs(float(point["cv"]) - 0.5 * 1.2 / math.sqrt(12.0)) < 1e-9
+    assert float(point["lambda"]) < float(anchor["lambda"])
+    for command, flags in (("age-curve", ["--beta", "1", "--alpha", "0.5"]), ("age-perturb", ["--alphas", "0.5"])):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--baseline" in text and "gauss:0,2,0.7" in text
+        assert not any(flag in text for flag in ("--vbar", "--sigma-eta", "--vmin", "--vmax")), command
+        assert main([command, *flags, "--vbar", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unrecognized arguments: --vbar" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_age_curve_output_is_pinned(tmp_path):
@@ -190,6 +210,35 @@ def test_size_mc_config_errors(tmp_path):
     assert main(["size-mc", "--config", cfg, "--set", "growth=exp:1", "--out", out]) == 2
     bad = write_cfg(tmp_path, "rows 0.4:5\n", name="bad.cfg")
     assert main(["size-mc", "--config", bad, "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "rows=0.4:5;0.2:4.5", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "estimator=median", "--out", out]) == 2
+    typo = write_cfg(tmp_path, CFG + "divison.beta=3\n", name="typo.cfg")
+    assert main(["size-mc", "--config", typo, "--out", out]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["size-mc", "--set", "rows=0.4:4", "--set", "M=2", "--set", "divison.beta=3"],
+        ["estimator-compare", "--horizons", "4", "--m", "2", "--set", "estimator=count"],
+        ["estimator-compare", "--horizons", "4", "--m", "2", "--set", "M=7"],
+        ["tree-dump", "--set", "seed=5"],
+        ["tree-dump", "--set", "M=7"],
+        ["tree-dump", "--set", "rows=bogus"],
+    ],
+    ids=["mc-typo", "cmp-estimator", "cmp-M", "dump-seed", "dump-M", "dump-rows"],
+)
+def test_keys_a_command_does_not_read_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    # a misspelt or foreign key exits 2 before any tree runs, never ignored
+    def refuse(*args, **kw):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr("malthus.estimator.tree_measures", refuse)
+    monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"])

@@ -228,3 +228,17 @@ def test_sd_comparison_validation():
         estimator_sd_comparison(cfg, horizons=(), m_trees=4, seed=1)
     with pytest.raises(ValueError):
         estimator_sd_comparison(cfg, horizons=(5.0,), m_trees=1, seed=1)
+
+
+def test_cv_table_validates_its_inputs(monkeypatch):
+    # malformed inputs raise before any tree, never an in-row KeyError or an
+    # "ok" row with sd = nan
+    def refuse(config, stream, times):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr(estimator, "tree_measures", refuse)
+    base = make_config(alpha=1.0, horizon=5.0)
+    with pytest.raises(ValueError, match="estimator must be"):
+        cv_table(base, [(0.5, 4.0)], 4, 1, "median")
+    with pytest.raises(ValueError, match="at least 2 trees"):
+        cv_table(base, [(0.5, 4.0)], 1, 1)

@@ -23,15 +23,30 @@ def test_all_lists_every_public_import_and_resolves():
     assert [name for name in malthus.__all__ if not hasattr(malthus, name)] == []
 
 
+def fresh_python(code):
+    """The stdout of ``code`` run by a new interpreter that imports this
+    checkout of the package."""
+    src = str(Path(malthus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # Brent is implemented in the package; importing scipy.optimize costs
     # every process ~0.2 s and ~24 MiB (2 vCPUs, SciPy 1.17)
-    src = str(Path(malthus.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, malthus, malthus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_antiderivative_matrix_is_built_once_on_first_use():
+    # built at import it would cost every process ~1 MiB of resident memory
+    code = "import malthus, malthus.cli; print(malthus.age_model._antiderivative_matrix.cache_info().currsize)"
+    assert fresh_python(code) == "0"
+    Q = malthus.age_model._antiderivative_matrix()
+    assert malthus.age_model._antiderivative_matrix() is Q
+    assert Q.shape == (17, 16) and not Q.flags.writeable
 
 
 def test_benchmark_tracer_finds_and_restores_every_target():
