@@ -17,6 +17,7 @@ import contextlib
 import datetime
 import hashlib
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -312,9 +313,9 @@ def _cmd_size_mc(args) -> int:
 def _cmd_estimator_compare(args) -> int:
     items = _read_config(args.config, args.set, _MODEL_KEYS)
     with _config_errors():
+        if not all(T > 0.0 and math.isfinite(T) for T in args.horizons):
+            raise ConfigError("--horizons must be positive and finite")
         cfg = _sim_config(items, max(args.horizons), args.alpha)
-        if min(args.horizons) <= 0.0:
-            raise ConfigError("--horizons must be positive")
         RngStream(args.seed)  # validates the seed
         _check_run(args.m)
         _worker_count()
@@ -330,19 +331,19 @@ def _cmd_tree_dump(args) -> int:
         stream = RngStream(args.seed, args.stream)
     tree = simulate_tree(cfg, stream)
     paths = tree.paths()
-    # one % per row over tolist() scalars: the same text as _fmt, cell by
-    # cell; formatted and written in blocks of rows, so the text of the
-    # whole tree is never held
-    row = "%s,%s" + ("," + _FMT) * 5
+    # one bytes % per row over tolist() scalars: the same text as _fmt,
+    # cell by cell, with the paths kept as bytes; formatted and written in
+    # blocks of rows, so the text of the whole tree is never held
+    row = b"%s,%s" + (b"," + _FMT.encode()) * 5
     with open(args.out, "wb") as f:
         f.write(b"id_path,parent_path,b,zeta,xi,tau,d\n")
         for start in range(0, len(tree), _DUMP_CHUNK_ROWS):
             rows = slice(start, start + _DUMP_CHUNK_ROWS)
             parent = tree.parent[rows]
             parent_paths = np.where(parent >= 0, paths[parent], b"")
-            columns = [np.char.decode(p, "ascii").tolist() for p in (paths[rows], parent_paths)]
+            columns = [paths[rows].tolist(), parent_paths.tolist()]
             columns += [getattr(tree, name)[rows].tolist() for name in ("b", "zeta", "xi", "tau", "d")]
-            f.write(("\n".join([row % r for r in zip(*columns)]) + "\n").encode())
+            f.write(b"\n".join([row % r for r in zip(*columns)]) + b"\n")
     return 0
 
 

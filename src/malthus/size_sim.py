@@ -475,10 +475,15 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
 
     Each pass draws the next K attempts of every cell not yet accepted, with
     K <= n / alive so the block never outgrows the frontier.  Attempt k of a
-    cell is a pure function of (cell base, k), and the envelope walk is one
-    sequential ``np.add.accumulate`` along the block, so a block gives the
-    same bits as K single attempts; draws past a cell's first acceptance
-    are discarded.
+    cell is a pure function of (cell base, k), so a block gives the same
+    bits as K single attempts; draws past a cell's first acceptance are
+    discarded.  A pass with K = 1, which every pass is while more than half
+    the frontier is alive, runs on 1-D arrays with one scalar counter, and
+    its walk is ``cum + step * E`` itself.  A longer block builds its walk
+    in place, ``step * E`` with ``cum`` added to the first column, then one
+    sequential ``np.add.accumulate`` along the block, which adds in the
+    same order as one attempt at a time.  Either way the cells still
+    alive are compacted through one index, taken by all five state arrays.
     """
     n = bases.size
     out = np.empty(n)
@@ -492,15 +497,29 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
                 f"thinning budget exhausted for {idx.size} cells (birth sizes near {x_b[idx][:3]}, rates near {v[idx][:3]})"
             )
         K = min(64, n // idx.size, _THINNING_BUDGET - k)
-        cnt = np.arange(_DOM_SIZE + 2 * k, _DOM_SIZE + 2 * (k + K), 2, dtype=np.uint64)
-        E = -np.log(open_uniforms_at(b[:, None], cnt))
-        walk = np.add.accumulate(np.column_stack([cum, step[:, None] * E]), axis=1)
-        cand = div.inverse_cumulative(walk[:, 1:])
-        accept = uniforms_at(b[:, None], cnt + np.uint64(1)) * cand < xb[:, None]
-        hit = accept.any(axis=1)
-        out[idx[hit]] = cand[hit, accept[hit].argmax(axis=1)]
-        miss = ~hit
-        idx, b, xb, step, cum = idx[miss], b[miss], xb[miss], step[miss], walk[miss, -1]
+        if K == 1:
+            cnt = np.uint64(_DOM_SIZE + 2 * k)
+            walk = cum + step * -np.log(open_uniforms_at(b, cnt))
+            cand = div.inverse_cumulative(walk)
+            hit = uniforms_at(b, cnt + np.uint64(1)) * cand < xb
+            sel = np.flatnonzero(hit)
+            out[idx[sel]] = cand[sel]
+            last = walk
+        else:
+            cnt = np.arange(_DOM_SIZE + 2 * k, _DOM_SIZE + 2 * (k + K), 2, dtype=np.uint64)
+            walk = -np.log(open_uniforms_at(b[:, None], cnt))
+            walk *= step[:, None]
+            walk[:, 0] += cum
+            np.add.accumulate(walk, axis=1, out=walk)
+            cand = div.inverse_cumulative(walk)
+            accept = uniforms_at(b[:, None], cnt + np.uint64(1)) * cand < xb[:, None]
+            first = accept.argmax(axis=1)
+            hit = accept[np.arange(idx.size), first]
+            sel = np.flatnonzero(hit)
+            out[idx[sel]] = cand[sel, first[sel]]
+            last = walk[:, -1]
+        keep = np.flatnonzero(~hit)
+        idx, b, xb, step, cum = idx[keep], b[keep], xb[keep], step[keep], last[keep]
         k += K
     return out
 

@@ -258,10 +258,13 @@ def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
         ["estimator-compare", "--horizons", "4", "--m", "1"],
         ["estimator-compare", "--horizons", "4", "--m", "2", "--seed", "-1"],
         ["estimator-compare", "--horizons", "4", "-1", "--m", "2"],
+        ["estimator-compare", "--horizons", "4", "nan", "--m", "2"],
+        ["estimator-compare", "--horizons", "nan", "4", "--m", "2"],
+        ["estimator-compare", "--horizons", "4", "inf", "--m", "2"],
         ["tree-dump", "--seed", "-1"],
         ["tree-dump", "--stream", "-1"],
     ],
-    ids=["m1", "seed", "horizon", "dump-seed", "dump-stream"],
+    ids=["m1", "seed", "horizon", "horizon-nan-last", "horizon-nan-first", "horizon-inf", "dump-seed", "dump-stream"],
 )
 def test_malformed_numeric_flags_are_config_errors(tmp_path, monkeypatch, argv):
     # exit code 2 before any tree runs

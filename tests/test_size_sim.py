@@ -236,6 +236,10 @@ def thinning_inputs(seed, n_typical, n_small, small):
     st.sampled_from([(1.0, 2.0), (0.5, 3.0), (1.0, 1.0)]),
 )
 @example(seed=3, n_typical=400, n_small=2, small=0.02, shape=(1.0, 2.0))
+# one cell: every pass draws a single attempt
+@example(seed=4, n_typical=0, n_small=1, small=0.05, shape=(1.0, 2.0))
+# typical cells only: most accept on attempt 0
+@example(seed=5, n_typical=400, n_small=0, small=0.05, shape=(1.0, 2.0))
 @settings(deadline=None, max_examples=30)
 def test_thinning_blocks_match_per_attempt_loop(seed, n_typical, n_small, small, shape):
     div = SizeDivisionRate(*shape, "unit_time")
@@ -265,6 +269,22 @@ def test_thinning_budget_edge(monkeypatch):
         _division_sizes(make_config(division=div), bases, x_b, v)
     monkeypatch.setattr(size_sim, "_THINNING_BUDGET", budget + 1)
     assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
+
+
+def test_thinning_draws_the_same_attempts(monkeypatch):
+    # pinned pass sizes, 1533 attempts in all: a single-attempt pass on
+    # 1-D arrays and a block draw exactly these attempts, no spare one
+    calls = []
+
+    def counting(base, counters):
+        u = open_uniforms_at(base, counters)
+        calls.append(u.size)
+        return u
+
+    monkeypatch.setattr(size_sim, "open_uniforms_at", counting)
+    bases, x_b, v = thinning_inputs(5, 300, 3, 0.03)
+    _division_sizes(make_config(division=SizeDivisionRate(1.0, 2.0, "unit_time")), bases, x_b, v)
+    assert calls == [303, 272, 248, 286, 296, 64, 64]
 
 
 def test_rate_budget_edge(monkeypatch):
