@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import legint, legval, legvander
-from scipy.special import erf, roots_legendre
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from .numerics import (
     DEFAULT_ROOT_TOL,
@@ -66,6 +65,7 @@ __all__ = [
 
 _GL_NODES = 64
 _SIGN_SAMPLES = 4096  # midpoints at which sign_condition reads B' - B^2
+_BLOCK = 1 << 17  # elements of the resolvent's scratch block of f_B-table rows
 
 # Sums over quadrature tables use np.einsum, never `@`: OpenBLAS runs every
 # product above a few thousand elements on all cores, and between the many
@@ -301,7 +301,7 @@ class Dirac(_RateLaw):
 def _legendre(n: int) -> tuple:
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first
     use and shared read-only."""
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -365,7 +365,7 @@ class TruncatedGaussian(_Window):
     @property
     def _mass(self) -> float:
         # Phi(beta) - Phi(-beta), stable for small beta
-        return float(erf(self._beta / math.sqrt(2.0)))
+        return math.erf(self._beta / math.sqrt(2.0))
 
     @property
     def variance(self) -> float:
@@ -573,19 +573,30 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
 def _resolvent_factory(B, law) -> Callable[[float], float]:
     """H(lambda) = 2 iint exp(-lambda a / v) f_B(a) rho(v) dv da, one
     weighted sum over the kept rows of the f_B table (:func:`_kept_rows`)
-    and the rate nodes per evaluation."""
+    and the rate nodes per evaluation.
+
+    The exponentials are taken a block of rows at a time, in one scratch
+    block of about ``_BLOCK`` elements reused by every evaluation: a fresh
+    array per evaluation costs more in page faults than the exponentials
+    themselves, and a table-sized one as much memory as ``rate``.  Each
+    row's sum over the rate nodes, and the sum over the rows, is taken in
+    the same order whatever the block size, so H does not depend on it."""
     nodes, weights = law.quadrature()
     a, w, _ = _fb_table(B)
     keep = _kept_rows(w)
     w = w[keep]
     rate = np.multiply.outer(a[keep], -1.0 / nodes)
-    # one buffer reused by every evaluation: a fresh array of this size
-    # costs more in page faults than the exponentials themselves
-    buf = np.empty_like(rate)
+    rows = max(1, _BLOCK // nodes.size)
+    blk = np.empty((min(rows, w.size), nodes.size))
+    per_row = np.empty(w.size)
 
     def H(lam: float) -> float:
-        np.multiply(rate, lam, out=buf)
-        return 2.0 * float(np.einsum("i,i->", w, np.einsum("ij,j->i", np.exp(buf, out=buf), weights)))
+        for i in range(0, w.size, rows):
+            part = blk[: min(rows, w.size - i)]
+            np.multiply(rate[i : i + rows], lam, out=part)
+            np.exp(part, out=part)
+            np.einsum("ij,j->i", part, weights, out=per_row[i : i + rows])
+        return 2.0 * float(np.einsum("i,i->", w, per_row))
 
     return H
 
@@ -676,7 +687,9 @@ def malthus_general(
     del both
     cum[1] += carry[:, None, None]
     ch, cp = cum.reshape(2, -1)
-    buf = np.empty_like(cp)  # reused by every evaluation, as in _resolvent_factory
+    # one flat buffer, as long as the grid, reused by every evaluation; unlike
+    # _resolvent_factory's row blocks it is no larger than cp and ch themselves
+    buf = np.empty_like(cp)
 
     def H(lam: float) -> float:
         np.multiply(cp, -lam, out=buf)

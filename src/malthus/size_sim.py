@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .age_model import AlphaFamily, Dirac, DiscreteMixture, TruncatedGaussian, UniformLaw
 from .numerics import RngStream, cell_base, child_key, open_uniforms_at, uniforms_at
@@ -361,10 +360,16 @@ def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
         return lo + u * (hi - lo)
     if isinstance(law, DiscreteMixture):
         u = uniforms_at(bases, np.uint64(_DOM_RATE))
-        vs = np.asarray([v for v, _ in law.atoms])
-        cw = np.cumsum([w for _, w in law.atoms])
-        return vs[np.searchsorted(cw, u, side="right")]
+        atoms = [(v, w) for v, w in law.atoms if w > 0.0]
+        vs = np.asarray([v for v, _ in atoms])
+        # the boundaries between atoms only: the weights' sum may round
+        # below 1, and a u past it takes the last atom of positive weight
+        inner = np.cumsum([w for _, w in atoms])[:-1]
+        return vs[np.searchsorted(inner, u, side="right")]
     if isinstance(law, TruncatedGaussian):
+        # imported here, so that only Gaussian rate draws load scipy.special
+        from scipy.special import ndtri
+
         v, redo = _redraw(
             lambda b, c: law.mean + law.sigma_eta * ndtri(open_uniforms_at(b, c)),
             lambda v: (v >= lo) & (v <= hi),

@@ -220,6 +220,62 @@ def test_resolvent_pruning_moves_h_by_at_most_eps(B, law):
     assert abs(lam - full) <= 4.0 * math.ulp(full)
 
 
+def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
+    # blocks of 64 rows of 64 rate nodes (4096 rows of one Dirac node):
+    # every table below spans many of them
+    law = AlphaFamily(tg, 0.5).law()
+    cases = [(witness_rate(), law), (PowerLagRate(0.25, 1.0), law), (witness_rate(), Dirac(1.0))]
+    lams = [0.0, 0.5, 1.0, 2.0]
+
+    def unblocked(B, law):
+        # H summed in one pass over the kept rows
+        nodes, weights = law.quadrature()
+        a, w, _ = age_model._fb_table(B)
+        keep = age_model._kept_rows(w)
+        rate = np.multiply.outer(a[keep], -1.0 / nodes)
+        assert keep.sum() > 4 * 4096 // nodes.size
+        return [2.0 * float(np.einsum("i,i->", w[keep], np.einsum("ij,j->i", np.exp(rate * x), weights))) for x in lams]
+
+    def solves():
+        H = [[age_model._resolvent_factory(B, law)(x) for x in lams] for B, law in cases]
+        roots = [malthus_with_variability(B, law) for B, law in cases[:2]]
+        return H, roots + [malthus_reference(witness_rate(), 1.0)]
+
+    default = solves()
+    assert default[0] == [unblocked(B, law) for B, law in cases]
+    monkeypatch.setattr(age_model, "_BLOCK", 64 * 64)
+    assert solves() == default
+
+
+@pytest.mark.parametrize("n, weight_rel", [(16, 2e-13), (64, 4e-12)])
+def test_gauss_rule_matches_scipy(n, weight_rel):
+    # measured: nodes within 1.2e-16, weights within 8.4e-14 (n = 16) and
+    # 2.3e-12 (n = 64) relative
+    from scipy.special import roots_legendre
+
+    x, w = age_model._legendre(n)
+    x_ref, w_ref = roots_legendre(n)
+    assert np.max(np.abs(x - x_ref)) <= 2e-16
+    assert np.max(np.abs(w / w_ref - 1.0)) <= weight_rel
+    assert not (x.flags.writeable or w.flags.writeable)
+    assert age_model._legendre(n)[0] is x
+    # exact for every polynomial of degree at most 2n - 1
+    for k in range(2 * n):
+        exact = (1.0 + (-1.0) ** k) / (k + 1.0)
+        assert abs(float(np.einsum("i,i->", w, x**k)) - exact) <= 1e-14
+
+
+def test_truncated_gaussian_mass_matches_scipy_erf():
+    # the window's Gaussian mass erf(beta / sqrt 2), beta its half-width in
+    # sds, over every beta the constructor accepts up to where it is 1
+    from scipy.special import erf
+
+    for beta in np.geomspace(5e-4, 40.0, 4000):
+        law = TruncatedGaussian(0.0, 2.0, 1.0 / beta)
+        ref = float(erf(law._beta / math.sqrt(2.0)))
+        assert abs(law._mass - ref) <= 3.0 * math.ulp(ref)
+
+
 def test_general_solver_evaluates_the_hazard_once_per_grid_point(tg):
     # the hazard is evaluated on the final grid only, where the inverse speed is
     law = AlphaFamily(tg, 0.5).law()

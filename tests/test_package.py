@@ -40,6 +40,44 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert fresh_python(code) == "[]"
 
 
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def run_then_list_scipy(argv_lists):
+    """Code that imports the package, runs ``malthus.cli.main`` on each argv
+    in turn, and prints the loaded SciPy modules after the import and after
+    the runs."""
+    return f"""
+import contextlib, io, sys
+import malthus, malthus.cli
+seen = [{LOADED_SCIPY}]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [malthus.cli.main(argv) for argv in {argv_lists!r}]
+assert codes == [0] * len(codes), codes
+print([*seen, {LOADED_SCIPY}])
+"""
+
+
+def test_import_and_age_model_runs_leave_scipy_unloaded(tmp_path):
+    # the age model needs NumPy alone; loading scipy.special cost every
+    # process ~0.25 s and ~20 MiB (2 vCPUs, SciPy 1.17)
+    out = str(tmp_path / "out.csv")
+    runs = [
+        ["age-curve", "--beta", "0.25", "2", "--lag", "1", "--alpha", "0.5", "1", "--out", out],
+        ["age-curve", "--beta", "1", "--alpha", "0.5", "--baseline", "twopoint:0.5,1.5", "--out", out],
+        ["age-perturb", "--alphas", "0.2", "0.1", "--out", out],
+        ["age-perturb", "--b-const", "1.0", "--alphas", "0.2", "--out", out],
+    ]
+    assert fresh_python(run_then_list_scipy(runs)) == "[[], []]"
+
+
+def test_gaussian_rate_draws_load_scipy_special(tmp_path):
+    # ndtri fixes the bits of every truncated-Gaussian rate draw
+    argv = ["size-mc", "--set", "rows=0.4:3", "--set", "M=2", "--out", str(tmp_path / "table.csv")]
+    seen = fresh_python(run_then_list_scipy([argv]))
+    assert seen.startswith("[[], [") and "'scipy.special'" in seen
+
+
 def test_antiderivative_matrix_is_built_once_on_first_use():
     # built at import it would cost every process ~1 MiB of resident memory
     code = "import malthus, malthus.cli; print(malthus.age_model._antiderivative_matrix.cache_info().currsize)"

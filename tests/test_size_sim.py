@@ -248,6 +248,24 @@ def test_thinning_blocks_match_per_attempt_loop(seed, n_typical, n_small, small,
     assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
 
 
+@pytest.mark.parametrize(
+    "atoms, last",
+    [
+        ([(0.5, 0.7), (1.0, 0.2), (1.5, 0.1)], 1.5),  # weights sum to 1 - 2^-53
+        ([(0.5, 0.5), (1.5, 0.5 - 1e-12)], 1.5),
+        ([(0.5, 0.5), (1.5, 0.5 - 1e-12), (2.0, 0.0)], 1.5),
+    ],
+    ids=["rounded", "short", "short-zero-tail"],
+)
+def test_mixture_draw_past_the_weight_sum_takes_the_last_atom(atoms, last, monkeypatch):
+    # the largest uniform lies at or past the weights' rounded cumsum
+    law = DiscreteMixture(atoms)
+    top = 1.0 - 2.0**-53
+    assert np.cumsum([w for _, w in law.atoms])[-1] <= top
+    monkeypatch.setattr(size_sim, "uniforms_at", lambda bases, counter: np.full(bases.shape, top))
+    assert np.array_equal(_draw_rates(law, cell_bases(1, 0, 3)), np.full(3, last))
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(1, 500), st.floats(0.05, 0.5), st.floats(0.5, 2.0))
 @settings(deadline=None, max_examples=30)
 def test_rate_redraws_match_per_attempt_loop(seed, n, width, sigma):
