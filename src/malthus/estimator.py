@@ -9,9 +9,9 @@ least 95% of the per-tree values.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 from .numerics import RngStream
 # simulate_tree is not called here: the benchmark's tracer (bench/tracing.py)
 # wraps estimator.simulate_tree, so the name stays importable
-from .size_sim import SimConfig, TreeResult, biomass_at, simulate_tree, tree_measures
+from .size_sim import SimConfig, TreeResult, biomass_at, group_measures, simulate_tree
 
 __all__ = [
     "MalthusEstimate",
@@ -114,30 +114,55 @@ def _check_run(m_trees: int, estimator: str = "biomass") -> None:
         raise ValueError(f"estimator must be 'biomass' or 'count', got {estimator!r}")
 
 
-def _tree_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, m: int):
-    """Expand the tree on stream ``offset + m`` into its measures; return,
-    per horizon, the requested statistics, and the living count at the
-    config's horizon."""
+def _trees_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, trees: range) -> list:
+    """Expand the trees on streams ``offset + m``, m in ``trees``, as one
+    group into their measures; return, per tree and per horizon, the
+    requested statistics, and the living count at the config's horizon.
+
+    If the group fails, its trees rerun one at a time, so the error names
+    the stream of the first tree that fails alone.
+    """
     try:
         pairs = [_measure_times(T, None, config.horizon) for T in horizons]
         times = sorted({config.horizon, *(t for pair in pairs for t in pair)})
-        at = dict(zip(times, tree_measures(config, RngStream(seed, offset + m), times)))
+        streams = [RngStream(seed, offset + m) for m in trees]
         column = {"biomass": 0, "count": 1}
-        stats = [[_rate(at[t1][column[e]], at[T][column[e]], T, t1) for e in estimators] for T, t1 in pairs]
-        return stats, at[config.horizon][1]
+        out = []
+        for measures in group_measures(config, streams, times):
+            at = dict(zip(times, measures))
+            stats = [[_rate(at[t1][column[e]], at[T][column[e]], T, t1) for e in estimators] for T, t1 in pairs]
+            out.append((stats, at[config.horizon][1]))
+        return out
     except (ValueError, RuntimeError) as e:
-        # named with its stream and kept in its category, which cv_table
-        # records in-row; any other exception is a defect and propagates
-        kind = ValueError if isinstance(e, ValueError) else RuntimeError
-        raise kind(f"tree on stream {offset + m} failed: {e}") from e
+        if len(trees) == 1:
+            # named with its stream and kept in its category, which cv_table
+            # records in-row; any other exception is a defect and propagates
+            kind = ValueError if isinstance(e, ValueError) else RuntimeError
+            raise kind(f"tree on stream {offset + trees[0]} failed: {e}") from e
+    return [row for m in trees for row in _trees_job(config, seed, offset, estimators, horizons, range(m, m + 1))]
 
 
-def _map_trees(job, m_count: int, workers: int):
+@contextlib.contextmanager
+def _tree_runner(workers: int):
+    """A function ``run(job, m_count)`` that maps ``job`` over groups of
+    trees 0..m_count-1 and returns its rows in tree order: one group of
+    all of them at one worker, else groups of max(1, m_count // (4 k))
+    trees on one pool of k worker processes, open for the block."""
     if workers <= 1:
-        return [job(m) for m in range(m_count)]
+        yield lambda job, m_count: job(range(m_count))
+        return
+    # imported here: the pool's modules (multiprocessing, logging, socket,
+    # subprocess) add ~20 ms to every import of the package
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, m_count // (4 * workers))
-        return list(pool.map(job, range(m_count), chunksize=chunk))
+
+        def run(job, m_count: int) -> list:
+            chunk = max(1, m_count // (4 * workers))
+            groups = [range(i, min(i + chunk, m_count)) for i in range(0, m_count, chunk)]
+            return [row for rows in pool.map(job, groups) for row in rows]
+
+        yield run
 
 
 def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: float) -> MalthusEstimate:
@@ -158,8 +183,8 @@ def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: flo
     )
 
 
-def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset: int, workers: int) -> MalthusEstimate:
-    rows = _map_trees(partial(_tree_job, config, seed, offset, (estimator,), (config.horizon,)), m_trees, workers)
+def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset: int, run) -> MalthusEstimate:
+    rows = run(partial(_trees_job, config, seed, offset, (estimator,), (config.horizon,)), m_trees)
     per_tree = np.asarray([r[0][0][0] for r in rows])
     pops = np.asarray([r[1] for r in rows])
     return _summarize(config, per_tree, pops, config.horizon)
@@ -169,7 +194,8 @@ def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "bi
     """Simulate ``m_trees`` independent trees on streams (seed, 0..m-1) and
     aggregate the per-tree statistics."""
     _check_run(m_trees, estimator)
-    return _estimate(config, m_trees, seed, estimator, 0, _worker_count())
+    with _tree_runner(_worker_count()) as run:
+        return _estimate(config, m_trees, seed, estimator, 0, run)
 
 
 @dataclass(frozen=True)
@@ -199,18 +225,18 @@ def cv_table(
     tree count, estimator or MALTHUS_THREADS raises before any row runs.
     """
     _check_run(m_trees, estimator)
-    workers = _worker_count()
     baseline = base.kernel.law
     out = []
-    for i, (alpha, T) in enumerate(rows):
-        alpha = float(alpha)
-        cv = alpha * baseline.cv
-        try:
-            kernel = replace(base.kernel, law=baseline.contract(alpha))
-            cfg = replace(base, kernel=kernel, horizon=float(T))
-            out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees, workers)))
-        except (ValueError, RuntimeError) as e:  # recorded, not fatal
-            out.append(CvTableRow(alpha, cv, float(T), None, f"error: {type(e).__name__}: {e}"))
+    with _tree_runner(_worker_count()) as run:
+        for i, (alpha, T) in enumerate(rows):
+            alpha = float(alpha)
+            cv = alpha * baseline.cv
+            try:
+                kernel = replace(base.kernel, law=baseline.contract(alpha))
+                cfg = replace(base, kernel=kernel, horizon=float(T))
+                out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees, run)))
+            except (ValueError, RuntimeError) as e:  # recorded, not fatal
+                out.append(CvTableRow(alpha, cv, float(T), None, f"error: {type(e).__name__}: {e}"))
     return out
 
 
@@ -226,10 +252,12 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     if not horizons:
         raise ValueError("need at least one horizon")
     _check_run(m_trees)
-    top = max(horizons)
-    if not (top <= config.horizon):
-        config = replace(config, horizon=top)
-    rows = _map_trees(partial(_tree_job, config, seed, 0, ("biomass", "count"), horizons), m_trees, _worker_count())
+    # expanded to the largest horizon, not the config's: a longer tree
+    # would be measured where no statistic reads it
+    config = replace(config, horizon=max(horizons))
+    job = partial(_trees_job, config, seed, 0, ("biomass", "count"), horizons)
+    with _tree_runner(_worker_count()) as run:
+        rows = run(job, m_trees)
     arr = np.asarray([r[0] for r in rows])  # (m, len(horizons), 2)
     out = []
     for j, T in enumerate(horizons):

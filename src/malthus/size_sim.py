@@ -7,6 +7,13 @@ horizon; every random draw of a cell is keyed by a hash of the cell's
 {0,1}-path, so a tree is a pure function of (config, seed) regardless of
 traversal or thread schedule.
 
+Trees of one config can be expanded together as a group: they share one
+frontier, so each array pass acts on the cells of every tree, until the
+next generation would pass ``_GROUP_FRONTIER`` (2^16) cells; then each
+tree continues alone.  Since every draw is keyed per cell, a tree's cells
+and measures do not depend on the group, and a single tree is a group of
+one.
+
 The division hazard B(x) = (x - x0)^beta may act per unit size (the
 accumulated-size accounting) or per unit time; in both cases the division
 *size* s of a cell born at size x_b has an explicit survival function and
@@ -44,6 +51,7 @@ __all__ = [
     "lifetime",
     "simulate_tree",
     "tree_measures",
+    "group_measures",
     "biomass_at",
 ]
 
@@ -57,6 +65,9 @@ _RATE_BUDGET = 10_000
 _REDRAW_BUDGET = 129
 _THINNING_BUDGET = 100_000
 _ROOT_KEY = np.uint64(0x243F6A8885A308D3)
+# the trees of a group share one frontier until their next generation
+# would hold more cells than this; then each tree continues alone
+_GROUP_FRONTIER = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +540,15 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     return out
 
 
-def _daughter_sizes(split, bases: np.ndarray, s: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """Birth sizes of the daughters of the frontier cells ``div``, which
-    divide at sizes ``s[div]``: every first daughter, then every second."""
-    s = s[div]
+def _daughter_sizes(split, bases: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Birth sizes of the daughters of cells with draw bases ``bases`` that
+    divide at sizes ``s``: every first daughter, then every second."""
     if isinstance(split, Symmetric):
         # the product and difference below at frac = 0.5: 0.5 * s is
         # exact, and so is s - 0.5 * s (Sterbenz)
         half = 0.5 * s
         return np.concatenate([half, half])
-    frac = split.eps + (1.0 - 2.0 * split.eps) * uniforms_at(bases[div], np.uint64(_DOM_SPLIT))
+    frac = split.eps + (1.0 - 2.0 * split.eps) * uniforms_at(bases, np.uint64(_DOM_SPLIT))
     # compute the larger piece by product and the smaller by subtraction:
     # with big in [s/2, s] the subtraction is exact (Sterbenz), so the
     # two birth sizes sum to the division size bit-for-bit
@@ -559,64 +569,106 @@ def _child_rates(kernel, bases: np.ndarray, parent_rates) -> np.ndarray:
     return fresh
 
 
-def _generations(config: SimConfig, rng: RngStream) -> Iterator[tuple]:
-    """Expand one division tree breadth-first up to the horizon, one
-    generation at a time.
+def _generations(config: SimConfig, stream_bases) -> Iterator[tuple]:
+    """Expand a group of division trees, one per stream base, breadth-first
+    up to the horizon, one generation at a time.
 
     Every cell with division time before the horizon gets exactly two
     children; cells dividing at or after it are leaves and not expanded.
-    Yields each generation's (b, zeta, xi, tau, d, division_size) arrays,
-    columns of :class:`TreeResult`.  A generation lists the first
-    daughters of the previous generation's dividing cells (those with
-    d < horizon), in order, then their second daughters, so the genealogy
-    follows from the ``d`` columns alone.  Only the current generation is
-    held.  All draws are keyed by the cell's path hash, so the stream is
-    deterministic for a given (config, seed, stream_index).
+    Yields each generation's trees and its (b, zeta, xi, tau, d,
+    division_size) arrays, columns of :class:`TreeResult`.  A generation
+    lists the first daughters of the previous generation's dividing cells
+    (those with d < horizon), in order, then their second daughters.
+    Restricted to one tree, that is the order in which the tree expands
+    alone, so each tree's cells are a subsequence of the group's, in its
+    own order, and its genealogy follows from its ``d`` columns alone.
+    Only the current generation is held.  All draws are keyed by the
+    cell's path hash under its tree's stream base, so a tree's cells do
+    not depend on the group it grows in.
+
+    The trees share one frontier, and a generation's trees are the index
+    (into ``stream_bases``) of each cell's tree, until the next generation
+    would hold more than ``_GROUP_FRONTIER`` cells.  The group then hands
+    each tree its own dividing cells, and the trees continue alone, in
+    index order; a generation's trees are then the one index of its tree.
+    A group of one tree is alone from its root.
     """
-    T = config.horizon
-    stream_base = rng.base
-
-    # frontier state
-    keys = np.asarray([_ROOT_KEY])
-    f_b = np.zeros(1)
-    f_xi = np.asarray([float(config.root_size)])
-    bases = cell_base(stream_base, keys)
+    stream_bases = np.asarray(stream_bases, dtype=np.uint64)
+    m = stream_bases.size
+    keys = np.full(m, _ROOT_KEY)
+    bases = cell_base(stream_bases, keys)
     if isinstance(config.root_rate, FixedRate):
-        f_tau = np.asarray([config.root_rate.value])
+        tau = np.full(m, config.root_rate.value)
     else:
-        f_tau = _draw_rates(config.kernel.law, bases)
+        tau = _draw_rates(config.kernel.law, bases)
+    trees = np.arange(m, dtype=np.min_scalar_type(m - 1)) if m > 1 else 0  # one byte a cell up to 256 trees
+    roots = (trees, keys, bases, np.zeros(m), np.full(m, float(config.root_size)), tau)
+    yield from _expand(config, stream_bases, np.zeros(m, dtype=np.int64), roots)
 
-    total = 0
+
+def _expand(config: SimConfig, stream_bases: np.ndarray, totals: np.ndarray, frontier: tuple) -> Iterator[tuple]:
+    """The generations of :func:`_generations` from ``frontier`` (trees,
+    and key, draw base, b, xi and tau of each cell) on; ``totals`` counts
+    the cells of each tree so far."""
+    T = config.horizon
+    tree, keys, bases, b, xi, tau = frontier
+    del frontier  # its arrays go as the generations move on
+    shared = np.ndim(tree) > 0
+    regress = isinstance(config.kernel, AutoRegressive)
     while True:
-        total += f_b.size
-        if total > config.max_cells:
+        if shared:
+            totals += np.bincount(tree, minlength=totals.size)
+        else:
+            totals[tree] += b.size
+        if totals.max() > config.max_cells:
             raise RuntimeError(
                 f"horizon too large: more than {config.max_cells} cells before t = {T}"
             )
-        s = _division_sizes(config, bases, f_xi, f_tau)
-        zeta = _lifetime(config.growth, f_xi, s, f_tau)
-        d = f_b + zeta
-        yield f_b, zeta, f_xi, f_tau, d, s
+        s = _division_sizes(config, bases, xi, tau)
+        zeta = _lifetime(config.growth, xi, s, tau)
+        d = b + zeta
+        yield tree, b, zeta, xi, tau, d, s
 
         div = np.flatnonzero(d < T)
         if not div.size:
+            return
+        # a Memoryless daughter ignores its mother's rate
+        parents = [tree[div] if shared else tree, keys[div], bases[div], d[div], s[div], tau[div] if regress else None]
+        if shared and 2 * div.size > _GROUP_FRONTIER:
             break
-        p_keys = keys[div]
-        p_d = d[div]
-        parent_rates = None  # a Memoryless daughter ignores its mother's rate
-        if isinstance(config.kernel, AutoRegressive):
-            p_tau = f_tau[div]
-            parent_rates = np.concatenate([p_tau, p_tau])
-        f_xi = _daughter_sizes(config.split, bases, s, div)
-        keys = np.concatenate([child_key(p_keys, 0), child_key(p_keys, 1)])
-        f_b = np.concatenate([p_d, p_d])
-        bases = cell_base(stream_base, keys)
-        f_tau = _child_rates(config.kernel, bases, parent_rates)
+        tree, keys, bases, b, xi, tau = _children(config, stream_bases, *parents)
+        del parents  # not held while the next generation is drawn
+    # the group splits: its arrays go, each tree takes its own dividing
+    # cells, in order, and drops them when it resumes
+    del tree, keys, bases, b, xi, tau, s, zeta, d, div
+    order = np.argsort(parents[0], kind="stable")
+    ends = np.cumsum(np.bincount(parents[0], minlength=totals.size))
+    held = [[a if a is None else a[order[lo:hi]] for a in parents[1:]] for lo, hi in zip([0, *ends[:-1]], ends)]
+    del parents, order
+    for i in range(len(held)):
+        if held[i][0].size:
+            # only the generator holds the tree's first generation
+            alone = _expand(config, stream_bases, totals, _children(config, stream_bases, i, *held[i]))
+            held[i] = None
+            yield from alone
+
+
+def _children(config: SimConfig, stream_bases: np.ndarray, tree, keys, bases, d, s, tau) -> tuple:
+    """The frontier (as :func:`_expand` takes it) of the daughters of the
+    dividing cells with these columns: every first daughter, then every
+    second.  ``tau`` may be None under a Memoryless kernel."""
+    xi = _daughter_sizes(config.split, bases, s)
+    parent_rates = None if tau is None else np.concatenate([tau, tau])
+    if np.ndim(tree):
+        tree = np.concatenate([tree, tree])
+    keys = np.concatenate([child_key(keys, 0), child_key(keys, 1)])
+    bases = cell_base(stream_bases[tree], keys)
+    return tree, keys, bases, np.concatenate([d, d]), xi, _child_rates(config.kernel, bases, parent_rates)
 
 
 def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
     """The whole division tree up to the horizon, every cell stored."""
-    generations = list(_generations(config, rng))
+    generations = [g[1:] for g in _generations(config, [rng.base])]
     # the dividing cells of a generation are, in order, the parents of the
     # next generation's first daughters and then of its second daughters
     parent, bit = [np.asarray([-1], dtype=np.int64)], [np.asarray([-1], dtype=np.int8)]
@@ -641,20 +693,68 @@ def tree_measures(config: SimConfig, rng: RngStream, times) -> list:
     after t holds no cell living at t and is skipped; at the horizon the
     mask is ``t < d`` alone, since every stored cell is born before it.
     """
+    return group_measures(config, [rng], times)[0]
+
+
+def group_measures(config: SimConfig, streams, times) -> list:
+    """:func:`tree_measures` of the tree on each of ``streams``, with the
+    trees expanded together as one group (:func:`_generations`).
+
+    The living sizes of a generation are kept with its trees.  Trees below
+    the smallest index in a generation have no cell left to come, and are
+    summed then.  The sizes of the generations the trees shared are first
+    split by a stable sort on the tree index, which keeps each tree's own
+    breadth-first order.  So every value equals that of the tree expanded
+    alone bit for bit, and a tree that continues alone is summed as soon
+    as it is complete.
+    """
     times = [float(t) for t in times]
     for t in times:
         _check_time(t, config.horizon)
-    sizes = [[] for _ in times]
-    counts = [0] * len(times)
-    for b, _, xi, tau, d, _ in _generations(config, rng):
+    m = len(streams)
+    biomass = np.zeros((m, len(times)))
+    counts = np.zeros((m, len(times)), dtype=np.int64)
+    # per time, (trees, living sizes) of the generations not yet summed
+    held = [[] for _ in times]
+    done = 0  # the trees below this index are summed
+
+    def finish(hi):
+        for j, pairs in enumerate(held):
+            shared = [k for k, (owner, _) in enumerate(pairs) if np.ndim(owner)]
+            if shared:
+                # one block, between the pieces of earlier splits and the
+                # generations of trees alone
+                lo, up = shared[0], shared[-1] + 1
+                owner = np.concatenate([o for o, _ in pairs[lo:up]])
+                sizes = np.concatenate([z for _, z in pairs[lo:up]])[np.argsort(owner, kind="stable")]
+                n = np.bincount(owner, minlength=m)
+                ends = np.cumsum(n)
+                pairs[lo:up] = [(i, sizes[ends[i] - n[i]:ends[i]]) for i in range(done, m)]
+            for i in range(done, hi):
+                biomass[i, j] = np.sum(np.concatenate([z for o, z in pairs if o == i]))
+            held[j] = [p for p in pairs if p[0] >= hi]
+
+    for tree, b, _, xi, tau, d, _ in _generations(config, [s.base for s in streams]):
+        shared = np.ndim(tree) > 0
+        first = int(tree.min()) if shared else tree
+        if first > done:
+            finish(first)
+            done = first
         born = b.min()
         for j, t in enumerate(times):
             if born > t:
                 continue
             living = np.flatnonzero((t < d) if t == config.horizon else (b <= t) & (t < d))
-            counts[j] += living.size
-            sizes[j].append(config.growth.size_at(xi[living], tau[living], t - b[living]))
-    return [(float(np.sum(np.concatenate(z))), c) for z, c in zip(sizes, counts)]
+            sizes = config.growth.size_at(xi[living], tau[living], t - b[living])
+            if shared:
+                owner = tree[living]
+                counts[:, j] += np.bincount(owner, minlength=m)
+            else:
+                owner = tree
+                counts[tree, j] += living.size
+            held[j].append((owner, sizes))
+    finish(m)
+    return [[(float(z), int(c)) for z, c in zip(zs, cs)] for zs, cs in zip(biomass, counts)]
 
 
 def biomass_at(tree: TreeResult, t: float) -> float:

@@ -179,6 +179,29 @@ def test_size_mc_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def test_size_mc_table_opens_one_pool(tmp_path, monkeypatch):
+    # every row of a table runs on one pool of worker processes
+    import concurrent.futures
+
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kw):
+            opened.append(kw.get("max_workers"))
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    argv = ["size-mc", "--set", "rows=0.4:4,0.2:4.5,0.6:4", "--set", "M=4", "--set", "seed=3"]
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    monkeypatch.setenv("MALTHUS_THREADS", "1")
+    assert main([*argv, "--out", str(one)]) == 0
+    assert opened == []
+    monkeypatch.setenv("MALTHUS_THREADS", "2")
+    assert main([*argv, "--out", str(two)]) == 0
+    assert opened == [2]
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_size_mc_set_overrides(tmp_path):
     cfg = write_cfg(tmp_path, CFG)
     a = tmp_path / "a.csv"
@@ -233,7 +256,7 @@ def test_keys_a_command_does_not_read_are_config_errors(tmp_path, monkeypatch, c
     def refuse(*args, **kw):
         raise AssertionError("a tree ran")
 
-    monkeypatch.setattr("malthus.estimator.tree_measures", refuse)
+    monkeypatch.setattr("malthus.estimator.group_measures", refuse)
     monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 2
@@ -271,7 +294,7 @@ def test_malformed_numeric_flags_are_config_errors(tmp_path, monkeypatch, argv):
     def refuse(*args, **kw):
         raise AssertionError("a tree ran")
 
-    monkeypatch.setattr("malthus.estimator.tree_measures", refuse)
+    monkeypatch.setattr("malthus.estimator.group_measures", refuse)
     monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 2

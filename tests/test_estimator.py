@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TG_CV
-from malthus import estimator
+from malthus import estimator, size_sim
 from malthus.age_model import AlphaFamily, Dirac, TruncatedGaussian
 from malthus.estimator import (
     MalthusEstimate,
@@ -27,6 +27,7 @@ from malthus.size_sim import (
     UniformAsymmetric,
     biomass_at,
     simulate_tree,
+    tree_measures,
 )
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
@@ -169,17 +170,17 @@ def test_cv_table_keeps_failure_types(monkeypatch):
     # a tree's ValueError is recorded in-row under its own type and stream;
     # any other exception is a defect and propagates
     def fail(kind):
-        def measure(config, stream, times):
+        def measure(config, streams, times):
             raise kind("boom")
 
         return measure
 
     base = make_config(alpha=1.0, horizon=5.0)
-    monkeypatch.setattr(estimator, "tree_measures", fail(ValueError))
+    monkeypatch.setattr(estimator, "group_measures", fail(ValueError))
     [row] = cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
     assert row.estimate is None
     assert row.status.startswith("error: ValueError: tree on stream 0 failed: boom")
-    monkeypatch.setattr(estimator, "tree_measures", fail(TypeError))
+    monkeypatch.setattr(estimator, "group_measures", fail(TypeError))
     with pytest.raises(TypeError):
         cv_table(base, [(0.4, 5.0)], m_trees=3, seed=9)
 
@@ -187,10 +188,10 @@ def test_cv_table_keeps_failure_types(monkeypatch):
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
 def test_malformed_thread_count_raises_before_any_tree(monkeypatch, threads):
     # resolved once per call, so a malformed value never becomes an in-row error
-    def refuse(config, stream, times):
+    def refuse(config, streams, times):
         raise AssertionError("a tree ran")
 
-    monkeypatch.setattr(estimator, "tree_measures", refuse)
+    monkeypatch.setattr(estimator, "group_measures", refuse)
     monkeypatch.setenv("MALTHUS_THREADS", threads)
     base = make_config(alpha=1.0, horizon=5.0)
     for call in (
@@ -222,6 +223,48 @@ def test_sd_comparison_matches_direct_runs_per_horizon():
         assert sd_c == monte_carlo(cfg_t, 6, 3, estimator="count").sd
 
 
+def test_sd_comparison_expands_to_the_largest_horizon(monkeypatch):
+    # a config horizon past every requested one is not simulated: the
+    # triples are those of the largest horizon, which the trees reach
+    reached = []
+
+    def recording(config, streams, times):
+        reached.append(config.horizon)
+        return size_sim.group_measures(config, streams, times)
+
+    monkeypatch.setattr(estimator, "group_measures", recording)
+    long = estimator_sd_comparison(make_config(alpha=0.4, horizon=12.0), horizons=(5.0, 7.0), m_trees=4, seed=3)
+    assert reached == [7.0]
+    assert long == estimator_sd_comparison(make_config(alpha=0.4, horizon=7.0), horizons=(5.0, 7.0), m_trees=4, seed=3)
+
+
+@pytest.mark.parametrize("case", ["max_cells", "thinning"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_group_failure_names_the_first_tree_that_fails_alone(monkeypatch, case, threads):
+    # at one worker the five trees are one group, at two they are groups
+    # of one: either way the error is the one of the first stream whose
+    # tree fails alone, with its type and message
+    if case == "max_cells":  # trees of 1989, 2499, 3023, 2043 and 2577 cells
+        cfg, seed = dataclasses.replace(make_config(horizon=7.0), max_cells=2500), 9
+    else:  # stream 2 alone has a cell that needs more attempts
+        monkeypatch.setattr(size_sim, "_THINNING_BUDGET", 24)
+        cfg = dataclasses.replace(make_config(horizon=5.0), division=SizeDivisionRate(1.0, 2.0, "unit_time"))
+        seed = 5
+    alone = []
+    for k in range(5):
+        try:
+            tree_measures(cfg, RngStream(seed, k), [cfg.horizon])
+        except RuntimeError as e:
+            alone.append((k, e))
+    k, first = alone[0]
+    assert k == 2
+    monkeypatch.setenv("MALTHUS_THREADS", threads)
+    with pytest.raises(RuntimeError) as got:
+        monte_carlo(cfg, m_trees=5, seed=seed)
+    assert type(got.value) is RuntimeError
+    assert str(got.value) == f"tree on stream {k} failed: {first}"
+
+
 def test_sd_comparison_validation():
     cfg = make_config()
     with pytest.raises(ValueError):
@@ -233,10 +276,10 @@ def test_sd_comparison_validation():
 def test_cv_table_validates_its_inputs(monkeypatch):
     # malformed inputs raise before any tree, never an in-row KeyError or an
     # "ok" row with sd = nan
-    def refuse(config, stream, times):
+    def refuse(config, streams, times):
         raise AssertionError("a tree ran")
 
-    monkeypatch.setattr(estimator, "tree_measures", refuse)
+    monkeypatch.setattr(estimator, "group_measures", refuse)
     base = make_config(alpha=1.0, horizon=5.0)
     with pytest.raises(ValueError, match="estimator must be"):
         cv_table(base, [(0.5, 4.0)], 4, 1, "median")

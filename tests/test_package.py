@@ -40,6 +40,16 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert fresh_python(code) == "[]"
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool's modules load with the first run on more than one worker;
+    # at import they cost every process ~20 ms (2 vCPUs, Python 3.11)
+    code = (
+        "import sys, malthus, malthus.cli; "
+        "print(sorted(m for m in sys.modules if m in ('multiprocessing', 'concurrent.futures.process')))"
+    )
+    assert fresh_python(code) == "[]"
+
+
 LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 

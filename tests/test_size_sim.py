@@ -621,6 +621,70 @@ def test_streamed_measures_hold_frontier_not_tree():
     assert peak <= bound
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split"])
+@given(any_config(), st.integers(0, 2**31 - 1), st.lists(st.integers(0, 2**20), min_size=1, max_size=5), st.integers(1, 200))
+@settings(deadline=None, max_examples=30)
+def test_group_measures_equal_trees_alone(split, cfg, seed, streams, bound):
+    # a group never changes a tree's values, whether the trees share their
+    # frontier to the end or split at a bound of a few cells
+    times = [0.0, 0.5 * cfg.horizon, cfg.horizon]
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            mp.setattr(size_sim, "_GROUP_FRONTIER", bound)
+        got = size_sim.group_measures(cfg, [RngStream(seed, k) for k in streams], times)
+    assert got == [tree_measures(cfg, RngStream(seed, k), times) for k in streams]
+
+
+def test_group_generations_hold_each_tree_in_its_own_order(monkeypatch):
+    # restricted to one tree, the shared generations and then the tree's
+    # own are the columns of the tree expanded alone, byte for byte; once
+    # split, the trees continue one at a time, in index order
+    monkeypatch.setattr(size_sim, "_GROUP_FRONTIER", 64)
+    cfg = make_config(horizon=6.0, split=UniformAsymmetric(0.1), kernel=AutoRegressive(TG.contract(0.4), 0.5))
+    streams = [RngStream(7, k) for k in (3, 0, 5)]
+    columns = [[] for _ in streams]
+    alone = []
+    for tree, *generation in size_sim._generations(cfg, [s.base for s in streams]):
+        if np.ndim(tree):
+            assert not alone  # no shared generation after the split
+            for i, own in enumerate(columns):
+                own.append([c[tree == i] for c in generation])
+        else:
+            alone.append(tree)
+            columns[tree].append(generation)
+    assert alone == sorted(alone) and set(alone) == {0, 1, 2}
+    names = ("b", "zeta", "xi", "tau", "d", "division_size")
+    for stream, own in zip(streams, columns):
+        tree = simulate_tree(cfg, stream)
+        for name, parts in zip(names, zip(*own)):
+            assert np.concatenate(parts).tobytes() == getattr(tree, name).tobytes()
+
+
+def test_group_measures_hold_frontier_not_trees():
+    # the accounting of test_streamed_measures_hold_frontier_not_tree, for
+    # three trees that share their frontier: bytes per cell of the largest
+    # generation, shared or not, and per kept size, which carries its
+    # tree's index (one byte) and, while the shared sizes are split by
+    # tree, a copy and an int64 sort order
+    cfg = make_config(
+        alpha=0.0, horizon=12.0, growth=Linear(), kernel=Memoryless(UniformLaw(0.1, 1.9)),
+        division=SizeDivisionRate(0.0, 0.0, "unit_size"),
+    )
+    times = [cfg.horizon, 0.5 * cfg.horizon]
+    streams = [RngStream(3, k) for k in range(3)]
+    sizes = [np.size(g[1]) for g in size_sim._generations(cfg, [s.base for s in streams])]
+    kept = sum(c for tree in size_sim.group_measures(cfg, streams, times) for _, c in tree)
+    bound = 400 * max(sizes) + 40 * kept + (256 << 10)
+    assert bound < 57 * sum(sizes)  # storing the trees would break the bound
+    tracemalloc.start()
+    try:
+        size_sim.group_measures(cfg, streams, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_config_digest_tracks_content():
     a = make_config(horizon=6.0)
     b = make_config(horizon=6.5)
