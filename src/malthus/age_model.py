@@ -65,7 +65,7 @@ __all__ = [
 
 _GL_NODES = 64
 _SIGN_SAMPLES = 4096  # midpoints at which sign_condition reads B' - B^2
-_BLOCK = 1 << 17  # elements of the resolvent's scratch block of f_B-table rows
+_BLOCK = 1 << 16  # elements of the resolvent's scratch block of f_B-table rows
 
 # Sums over quadrature tables use np.einsum, never `@`: OpenBLAS runs every
 # product above a few thousand elements on all cores, and between the many
@@ -570,33 +570,48 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _resolvent_factory(B, law) -> Callable[[float], float]:
-    """H(lambda) = 2 iint exp(-lambda a / v) f_B(a) rho(v) dv da, one
-    weighted sum over the kept rows of the f_B table (:func:`_kept_rows`)
-    and the rate nodes per evaluation.
+def _resolvent_factory(B, law) -> Callable[[float], tuple]:
+    """lambda -> (H(lambda), H'(lambda)) with H(lambda) = 2 iint
+    exp(-lambda a / v) f_B(a) rho(v) dv da, one weighted sum over the kept
+    rows of the f_B table (:func:`_kept_rows`) and the rate nodes per
+    evaluation; the slope -2 iint (a / v) exp(-lambda a / v) f_B rho sums
+    the same exponentials with the weights of rho over v and those of f_B
+    times a.  At lambda = 0 every exponential is 1, and both come from
+    the weight sums alone.
 
     The exponentials are taken a block of rows at a time, in one scratch
     block of about ``_BLOCK`` elements reused by every evaluation: a fresh
     array per evaluation costs more in page faults than the exponentials
     themselves, and a table-sized one as much memory as ``rate``.  Each
-    row's sum over the rate nodes, and the sum over the rows, is taken in
-    the same order whatever the block size, so H does not depend on it."""
+    row's sums over the rate nodes, and the sums over the rows, are taken
+    in the same order whatever the block size, so H and H' do not depend
+    on it."""
     nodes, weights = law.quadrature()
     a, w, _ = _fb_table(B)
     keep = _kept_rows(w)
-    w = w[keep]
-    rate = np.multiply.outer(a[keep], -1.0 / nodes)
-    rows = max(1, _BLOCK // nodes.size)
-    blk = np.empty((min(rows, w.size), nodes.size))
-    per_row = np.empty(w.size)
+    a, w = a[keep], w[keep]
+    over_v = -weights / nodes
+    row_w = np.stack([w, w * a])  # the rows' weights in H and in H'
+    at_zero = (2.0 * float(w.sum()) * float(weights.sum()), 2.0 * float(row_w[1].sum()) * float(over_v.sum()))
+    rate = np.multiply.outer(a, -1.0 / nodes)
+    n, rows = w.size, max(1, _BLOCK // nodes.size)
+    blk = np.empty((min(rows, n), nodes.size))
+    per_row = np.empty((2, n))
 
-    def H(lam: float) -> float:
-        for i in range(0, w.size, rows):
-            part = blk[: min(rows, w.size - i)]
+    def H(lam: float) -> tuple:
+        if lam == 0.0:
+            return at_zero
+        for i in range(0, n, rows):
+            part = blk[: min(rows, n - i)]
             np.multiply(rate[i : i + rows], lam, out=part)
             np.exp(part, out=part)
-            np.einsum("ij,j->i", part, weights, out=per_row[i : i + rows])
-        return 2.0 * float(np.einsum("i,i->", w, per_row))
+            np.einsum("ij,j->i", part, weights, out=per_row[0, i : i + rows])
+            np.einsum("ij,j->i", part, over_v, out=per_row[1, i : i + rows])
+        # a pairwise sum over the rows: an einsum's running sum would leave
+        # ~1e-15 of rounding noise in H on a table of 20 000 rows
+        np.multiply(per_row, row_w, out=per_row)
+        h, slope = per_row.sum(axis=1)
+        return 2.0 * float(h), 2.0 * float(slope)
 
     return H
 
@@ -642,8 +657,9 @@ def malthus_general(
     points of the final grid and nowhere else.  The inverse speed is then
     evaluated on the same points, and both are accumulated panel by panel
     through the rule's antiderivative matrix, so each resolvent evaluation
-    is a single weighted sum; it skips the leading panels where the hazard
-    is 0 at every node, whose inverse speed enters only as a carried total.
+    is one exponential and two weighted sums, for H and its slope; it skips
+    the leading panels where the hazard is 0 at every node, whose inverse
+    speed enters only as a carried total.
     """
     nodes, weights = rho.quadrature()
     graded = (0.0, *kink_ages)
@@ -686,15 +702,18 @@ def malthus_general(
     cum = _cumulative(both.reshape(2, nodes.size, -1, per_panel), edges[lag:])
     del both
     cum[1] += carry[:, None, None]
-    ch, cp = cum.reshape(2, -1)
-    # one flat buffer, as long as the grid, reused by every evaluation; unlike
-    # _resolvent_factory's row blocks it is no larger than cp and ch themselves
-    buf = np.empty_like(cp)
+    # wh takes the survival exp(-ch) in, so an evaluation is one exponential
+    # of -lambda cp and two sums, with weights wh for H and wh cp for -H';
+    # the accumulated hazard's storage becomes the buffer they all reuse
+    buf, cp = cum.reshape(2, -1)
+    np.negative(buf, out=buf)
+    wh *= np.exp(buf, out=buf)
+    whp = wh * cp
 
-    def H(lam: float) -> float:
+    def H(lam: float) -> tuple:
         np.multiply(cp, -lam, out=buf)
-        np.subtract(buf, ch, out=buf)
-        return 2.0 * float(np.einsum("i,i->", wh, np.exp(buf, out=buf)))
+        np.exp(buf, out=buf)
+        return 2.0 * float(np.einsum("i,i->", wh, buf)), -2.0 * float(np.einsum("i,i->", whp, buf))
 
     return find_root_decreasing(H, 1.0, tol)
 

@@ -1,13 +1,14 @@
 """Low-level numerical kernels shared across the package.
 
-Root finding brackets by doubling and then polishes with Brent's method
-(implemented here, step for step as scipy's ``brentq``), with a plain
-bisection fallback; one solve evaluates its function once per abscissa.
-``integrate`` (adaptive Simpson, pre-split at declared kink points) is on
-no solver path: the age model integrates with Gauss tables of its own.  Random streams are counter based (SplitMix64
-style): every draw is a pure function of (seed, stream_index, key, counter),
-so simulations are reproducible regardless of evaluation order or thread
-count.
+Roots of a positive, decreasing, log-convex function (the age model's
+resolvents) come from Newton's method on its logarithm, started at 0, whose
+iterates increase monotonically to the root; the function supplies its
+slope, and no abscissa is evaluated twice.  ``integrate`` (adaptive
+Simpson, pre-split at declared kink points) is on no solver path: the age
+model integrates with Gauss tables of its own.  Random streams are counter
+based (SplitMix64 style): every draw is a pure function of (seed,
+stream_index, key, counter), so simulations are reproducible regardless of
+evaluation order or thread count.
 """
 from __future__ import annotations
 
@@ -49,9 +50,15 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request.  Root solves certify |h(x) - target| <= abs_tol;
-    ``rel_tol`` is read only by :func:`integrate`, which stops at
-    |error| <= abs_tol + rel_tol * |value|."""
+    """Accuracy request.
+
+    A root solve (:func:`find_root_decreasing`, for h > 0 decreasing and
+    log-convex with h(0) > target > 0) returns x only with |h(x) - target|
+    <= ``abs_tol``, within ~8 ulps of the root of the computed h, in at
+    most ``max_iter`` Newton steps; otherwise it raises ValueError (a bad
+    target or h(0), a non-finite value) or NonConvergenceError carrying
+    ``best``.  ``rel_tol`` is read only by :func:`integrate`, which stops
+    at |error| <= abs_tol + rel_tol * |value|."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 0.0
@@ -70,7 +77,6 @@ DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
 DEFAULT_ROOT_TOL = Tolerance(abs_tol=1e-10, rel_tol=0.0, max_iter=120)
 
 _MAX_PANELS = 400_000
-_MAX_DOUBLINGS = 200  # bracket doublings before find_root_decreasing gives up
 
 
 def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -147,134 +153,80 @@ def integrate(
     )
 
 
-def _brent(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    The steps, tests and evaluation count follow scipy's ``brentq``
-    exactly, so the result is the same float: f is evaluated at a and b,
-    then once per iteration.  Raises ValueError on a bracket without a
-    sign change or a NaN value, RuntimeError after ``maxiter`` iterations.
-    """
-
-    def ev(x):
-        y = f(x)
-        if math.isnan(y):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return y
-
-    xpre, xcur = a, b
-    fpre, fcur = ev(xpre), ev(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = ev(xcur)
-    raise RuntimeError(f"Brent did not converge after {maxiter} iterations, value is {xcur}")
-
-
 def find_root_decreasing(
-    h: Callable[[float], float],
+    h: Callable[[float], tuple],
     target: float,
     tol: Tolerance = DEFAULT_ROOT_TOL,
 ) -> float:
-    """Solve h(x) = target for strictly decreasing h on [0, inf).
+    """Solve h(x) = target for h > 0, decreasing and log-convex on [0, inf).
 
-    Brackets by doubling from [0, 1], polishes with Brent, and falls back
-    to plain bisection if Brent fails or leaves residual above ``abs_tol``.
-    ``h`` is evaluated at most once per abscissa: the values are memoized
-    for the length of the call, so Brent starts from the bracket ends the
-    doubling already evaluated and its answer is certified with the value
-    of its last step.  The root is the same float as without the memo.
-    ``tol`` may be a plain number, read as the absolute residual tolerance.
-    Raises :class:`NonConvergenceError` when bisection fails too, ``from``
-    Brent's exception if Brent raised one.
+    Precondition: ``h(x)`` returns the pair (h(x), h'(x)), with h > 0,
+    decreasing and log-convex on [0, inf), and ``target`` > 0.  ``tol`` may
+    be a plain number, read as the absolute residual tolerance.
+
+    Newton's method on log h - log target, started at x = 0.  log h is
+    convex, so every tangent meets log target at or before the root: the
+    iterates increase monotonically to it, and no abscissa is evaluated
+    twice.  The loop stops at an evaluated x when the next iterate no
+    longer increases (the step is below half an ulp of x) or when
+    h(x) <= target (a step crossed the root, by rounding alone); x is
+    returned if |h(x) - target| <= ``abs_tol``.  Once h(x) - target <=
+    ``abs_tol`` at an iterate x, the next iterate is returned unevaluated:
+    it lies between x and the root, where h lies between target and h(x).
+
+    Guarantee: a returned root x is certified by |h(x) - target| <=
+    ``abs_tol``, read from a value already computed.  It is the converged
+    Newton iterate of the computed h, not the float nearest the exact
+    root.  On the age-model resolvents it lay at most 8 ulps from scipy's
+    ``brentq`` root (xtol 1e-300, rtol 4 eps) of the same h, measured over
+    power-lag beta in {0, 0.25, 2, 7} at 20 contractions each, the
+    tabulated witness, constant rates under Dirac and two-point laws, and
+    ``malthus_general``'s resolvent; the tests hold it to 8.  A value is
+    thus stable to about 8 ulps, ~2e-15 near lambda = 1, not to the last
+    ulp.
+
+    Failures: ValueError when target <= 0, when h(0) <= target, or when a
+    value or slope of h is not finite (the message names x).
+    NonConvergenceError, with the last iterate as ``best``, when h never
+    crosses the target (its slope vanishes above the target, or a Newton
+    step is infinite), when ``max_iter`` Newton steps run out, or when the
+    residual at the stop exceeds ``abs_tol``.
     """
     if not isinstance(tol, Tolerance):
         tol = Tolerance(abs_tol=float(tol))
-    seen = {}
+    if not target > 0.0:
+        raise ValueError("target must be positive")
 
-    def f(x: float) -> float:
-        y = seen.get(x)
-        if y is None:
-            y = seen[x] = float(h(x)) - target
-        return y
+    def at(x: float) -> tuple:
+        y, dy = (float(v) for v in h(x))
+        if not (math.isfinite(y) and math.isfinite(dy)):
+            raise ValueError(f"h or its slope is not finite at x={x!r}: {y!r}, {dy!r}")
+        return y, dy
 
-    f0 = f(0.0)
-    if not math.isfinite(f0):
-        raise ValueError("h(0) is not finite")
-    if not f0 > 0.0:
+    log_target = math.log(target)
+    x = 0.0
+    y, dy = at(x)
+    if not y > target:
         raise ValueError("no positive root: h(0) <= target")
-    lo = 0.0
-    hi = 1.0
-    n = 0
-    while f(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise NonConvergenceError("no sign change found while doubling", best=hi)
-    if f(hi) == 0.0:
-        return hi
-
-    try:
-        x = _brent(f, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=1e-15, maxiter=max(tol.max_iter, 100))
-    except (ValueError, RuntimeError) as e:  # _brent's failures; NonConvergenceError is a RuntimeError
-        return _bisect(f, lo, hi, tol, f"Brent failed: {e}", e)
-    if abs(f(x)) <= tol.abs_tol:
-        return x
-    return _bisect(f, lo, hi, tol, f"Brent's root {x!r} left residual {abs(f(x))!r}", None)
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: Tolerance, why: str, cause) -> float:
-    """Plain bisection of the bracket [lo, hi] of decreasing ``f`` on the
-    residual criterion, the fallback once Brent has failed (``why``; its
-    exception is ``cause``, or None if it left too large a residual)."""
-    for _ in range(max(tol.max_iter, 200)):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol.abs_tol:
-            return mid
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * _EPS * max(1.0, hi):
+    for _ in range(tol.max_iter):
+        if not dy < 0.0:
+            raise NonConvergenceError(f"h stops decreasing at x={x!r}, {y!r} above the target", best=x)
+        nxt = x + (math.log(y) - log_target) * (y / -dy)
+        if not nxt > x:
             break
-    best = 0.5 * (lo + hi)
-    if abs(f(best)) <= tol.abs_tol:
-        return best
-    raise NonConvergenceError(
-        f"root residual tolerance {tol.abs_tol!r} not met: {why}; bisection ended at {best!r}", best=best
-    ) from cause
+        if nxt == math.inf:
+            raise NonConvergenceError(f"h never crosses the target: the Newton step from x={x!r} is infinite", best=x)
+        if y - target <= tol.abs_tol:
+            return nxt
+        x = nxt
+        y, dy = at(x)
+        if y <= target:
+            break
+    else:
+        raise NonConvergenceError(f"no root within {tol.max_iter} Newton steps", best=x)
+    if abs(y - target) <= tol.abs_tol:
+        return x
+    raise NonConvergenceError(f"root residual {abs(y - target)!r} at x={x!r} exceeds abs_tol {tol.abs_tol!r}", best=x)
 
 
 # ---------------------------------------------------------------------------

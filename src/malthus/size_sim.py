@@ -244,7 +244,7 @@ class CellRecord:
 
 
 def _check_time(t: float, horizon: float) -> None:
-    if t < 0.0 or t > horizon:
+    if not 0.0 <= t <= horizon:  # NaN fails it too
         raise ValueError("t must lie in [0, horizon]; the tree is incomplete beyond")
 
 
@@ -408,9 +408,9 @@ def sample_division_size(division: SizeDivisionRate, birth_size, u):
     scalar = np.ndim(birth_size) == 0 and np.ndim(u) == 0
     x_b = np.atleast_1d(np.asarray(birth_size, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(x_b <= 0.0):
+    if not np.all(x_b > 0.0):
         raise ValueError("birth size must be positive")
-    if np.any((u < 0.0) | (u >= 1.0)):
+    if not np.all((0.0 <= u) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")
     s = _inverse_from(division, x_b, -np.log1p(-u))
     return float(s[0]) if scalar else s
@@ -438,9 +438,9 @@ def lifetime(growth, birth_size, division_size, v):
     x_b = np.asarray(birth_size, dtype=float)
     s = np.asarray(division_size, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(s < x_b):
+    if not np.all(s >= x_b):
         raise ValueError("division size below birth size violates monotone growth")
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):
         raise ValueError("rate must be positive")
     out = _lifetime(growth, x_b, s, v)
     if out.shape == ():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from malthus import age_model
 from malthus.age_model import TabulatedRate, TruncatedGaussian
 
 # exact moments of the 0.7-sd Gaussian restricted to [0, 2]
@@ -21,3 +22,16 @@ def witness_rate() -> TabulatedRate:
     """
     a = np.unique(1.0 - np.geomspace(1.0, 1e-4, 1201))
     return TabulatedRate(a, 2.0 * a / (1.0 - a * a))
+
+
+def general_resolvent(*args, **kwargs):
+    """The (H, H') closure that ``malthus_general(*args, **kwargs)`` hands
+    to the root finder."""
+    got = []
+    solve = age_model.find_root_decreasing
+    age_model.find_root_decreasing = lambda h, *rest: got.append(h) or 0.0
+    try:
+        age_model.malthus_general(*args, **kwargs)
+    finally:
+        age_model.find_root_decreasing = solve
+    return got[0]

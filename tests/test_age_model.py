@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import TG_CV, witness_rate
+from conftest import TG_CV, general_resolvent, witness_rate
 from malthus import age_model
 from malthus.age_model import (
     AlphaFamily,
@@ -208,7 +208,10 @@ def test_resolvent_pruning_moves_h_by_at_most_eps(B, law):
     rate = np.multiply.outer(a, -1.0 / nodes)
 
     def H_full(lam):
-        return 2.0 * float(np.einsum("i,i->", w, np.einsum("ij,j->i", np.exp(rate * lam), weights)))
+        # summed as the resolvent sums its kept rows
+        e = np.exp(rate * lam)
+        return (2.0 * float(np.sum(w * np.einsum("ij,j->i", e, weights))),
+                2.0 * float(np.sum(w * a * np.einsum("ij,j->i", e, -weights / nodes))))
 
     lam = malthus_with_variability(B, law)
     dropped = ~age_model._kept_rows(w)
@@ -220,21 +223,31 @@ def test_resolvent_pruning_moves_h_by_at_most_eps(B, law):
     assert abs(lam - full) <= 4.0 * math.ulp(full)
 
 
+def blockwise_pair(B, law, lams):
+    """(H, H') of the kept rows at each of ``lams``, each summed in one
+    pass over the rows: the exponentials weighted by rho, and by rho / v
+    for the slope, then the rows by w and by w a, in a pairwise sum."""
+    nodes, weights = law.quadrature()
+    a, w, _ = age_model._fb_table(B)
+    keep = age_model._kept_rows(w)
+    a, w = a[keep], w[keep]
+    rate = np.multiply.outer(a, -1.0 / nodes)
+    out = []
+    for x in lams:
+        e = np.exp(rate * x)
+        out.append((2.0 * float(np.sum(w * np.einsum("ij,j->i", e, weights))),
+                    2.0 * float(np.sum(w * a * np.einsum("ij,j->i", e, -weights / nodes)))))
+    return out
+
+
 def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
     # blocks of 64 rows of 64 rate nodes (4096 rows of one Dirac node):
     # every table below spans many of them
     law = AlphaFamily(tg, 0.5).law()
     cases = [(witness_rate(), law), (PowerLagRate(0.25, 1.0), law), (witness_rate(), Dirac(1.0))]
     lams = [0.0, 0.5, 1.0, 2.0]
-
-    def unblocked(B, law):
-        # H summed in one pass over the kept rows
-        nodes, weights = law.quadrature()
-        a, w, _ = age_model._fb_table(B)
-        keep = age_model._kept_rows(w)
-        rate = np.multiply.outer(a[keep], -1.0 / nodes)
-        assert keep.sum() > 4 * 4096 // nodes.size
-        return [2.0 * float(np.einsum("i,i->", w[keep], np.einsum("ij,j->i", np.exp(rate * x), weights))) for x in lams]
+    for B, law_ in cases:
+        assert age_model._kept_rows(age_model._fb_table(B)[1]).sum() > 4 * 4096 // law_.quadrature()[0].size
 
     def solves():
         H = [[age_model._resolvent_factory(B, law)(x) for x in lams] for B, law in cases]
@@ -242,9 +255,78 @@ def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
         return H, roots + [malthus_reference(witness_rate(), 1.0)]
 
     default = solves()
-    assert default[0] == [unblocked(B, law) for B, law in cases]
+    for got, (B, law_) in zip(default[0], cases):
+        # lambda > 0: the single-pass sums bit for bit; lambda = 0, answered
+        # from the weight sums, within 1e-14 of them
+        assert got[1:] == blockwise_pair(B, law_, lams[1:])
+        for v, ref in zip(got[0], blockwise_pair(B, law_, [0.0])[0]):
+            assert abs(v - ref) <= 1e-14 * abs(ref)
     monkeypatch.setattr(age_model, "_BLOCK", 64 * 64)
     assert solves() == default
+
+
+def test_resolvent_slopes_match_the_constant_rate_closed_form():
+    # B = b and every cell at v_bar: H = 2 b v / (b v + lambda) and
+    # H' = -2 b v / (b v + lambda)^2, in both closures
+    b, v = 1.3, 0.8
+    closures = {
+        "resolvent": age_model._resolvent_factory(ConstantRate(b), Dirac(v)),
+        "general": general_resolvent(lambda a, u: np.full_like(a, b), lambda a, u: 1.0 / u, Dirac(v)),
+    }
+    for name, H in closures.items():
+        for lam in (0.0, 0.3, b * v, 2.5):
+            y, dy = H(lam)
+            # at lambda = 0 the table's cut at TAIL_EPS shows: it drops 1e-13
+            # of the mass and 3e-12 of the mean age, which exp(-lambda a / v)
+            # hides at every lambda > 0
+            tol_h, tol_slope = (2e-13, 5e-12) if lam == 0.0 and name == "resolvent" else (1e-14, 1e-14)
+            assert abs(y / (2.0 * b * v / (b * v + lam)) - 1.0) <= tol_h, (name, lam)
+            assert abs(dy / (-2.0 * b * v / (b * v + lam) ** 2) - 1.0) <= tol_slope, (name, lam)
+
+
+def test_resolvent_slopes_match_a_centered_difference(tg):
+    B = PowerLagRate(0.25, 1.0)
+    law = AlphaFamily(tg, 0.5).law()
+    closures = [
+        age_model._resolvent_factory(B, law),
+        general_resolvent(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, law, kink_ages=B.kinks),
+    ]
+    step = 1e-5
+    for H in closures:
+        for lam in (0.2, 0.6):
+            diff = (H(lam + step)[0] - H(lam - step)[0]) / (2.0 * step)
+            assert abs(H(lam)[1] / diff - 1.0) <= 1e-9
+
+
+def test_roots_take_few_resolvent_evaluations(tg, monkeypatch):
+    # the beta grid of scripts/run_exponent_curves.py, as in the benchmark's
+    # age-sweep: a reference, four contracted laws and malthus_general per
+    # beta, the closed forms and the tabulated witness
+    counts = []
+    solve = age_model.find_root_decreasing
+
+    def counted(h, *rest):
+        counts.append(0)
+
+        def h_counted(x):
+            counts[-1] += 1
+            return h(x)
+
+        return solve(h_counted, *rest)
+
+    monkeypatch.setattr(age_model, "find_root_decreasing", counted)
+    for beta in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
+        B = PowerLagRate(beta, 1.0)
+        malthus_reference(B, tg.mean)
+        for alpha in (0.125, 0.375, 0.625, 0.875):
+            malthus_with_variability(B, AlphaFamily(tg, alpha).law())
+        malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, AlphaFamily(tg, 0.5).law(), kink_ages=B.kinks)
+    malthus_reference(ConstantRate(1.3), 0.8)
+    malthus_with_variability(ConstantRate(1.3), DiscreteMixture([(0.4, 0.5), (1.2, 0.5)]))
+    malthus_reference(witness_rate(), tg.mean)
+    malthus_with_variability(witness_rate(), AlphaFamily(tg, 0.5).law())
+    assert len(counts) == 70
+    assert sum(counts) / len(counts) < 6.0 and max(counts) <= 10
 
 
 @pytest.mark.parametrize("n, weight_rel", [(16, 2e-13), (64, 4e-12)])

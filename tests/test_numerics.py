@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malthus.age_model import AlphaFamily, PowerLagRate, TruncatedGaussian, _resolvent_factory
+from conftest import general_resolvent, witness_rate
+from malthus.age_model import (
+    AlphaFamily,
+    ConstantRate,
+    Dirac,
+    DiscreteMixture,
+    PowerLagRate,
+    TruncatedGaussian,
+    _resolvent_factory,
+)
 from malthus.numerics import (
     DEFAULT_ROOT_TOL,
     NonConvergenceError,
@@ -21,7 +30,6 @@ from malthus.numerics import (
     open_uniforms_at,
     uniforms_at,
 )
-from malthus.numerics import _brent
 
 TIGHT = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=60)
 
@@ -56,14 +64,19 @@ def test_integrate_linear_in_integrand(c1, c2):
     assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(c1) + abs(c2))
 
 
+def exp_pair(c=2.0, d=1.0):
+    """x -> (c e^{-d x}, its slope)."""
+    return lambda x: (c * math.exp(-d * x), -c * d * math.exp(-d * x))
+
+
 def test_root_exponential():
-    lam = find_root_decreasing(lambda l: 2.0 * math.exp(-l), 1.0, DEFAULT_ROOT_TOL)
+    lam = find_root_decreasing(exp_pair(), 1.0, DEFAULT_ROOT_TOL)
     assert abs(lam - math.log(2.0)) < 1e-12
 
 
 def test_root_certificate_brackets_answer():
     H = lambda l: 2.0 / (1.0 + l) ** 2
-    lam = find_root_decreasing(H, 1.0, DEFAULT_ROOT_TOL)
+    lam = find_root_decreasing(lambda l: (H(l), -4.0 / (1.0 + l) ** 3), 1.0, DEFAULT_ROOT_TOL)
     assert abs(lam - (math.sqrt(2.0) - 1.0)) < 1e-12
     eps = 1e-6
     assert H(lam - eps) > 1.0 > H(lam + eps)
@@ -74,7 +87,7 @@ def test_root_releases_the_resolvent():
     # solve, not even until the next cyclic garbage collection
     class Resolvent:
         def __call__(self, lam):
-            return 2.0 * math.exp(-lam)
+            return 2.0 * math.exp(-lam), -2.0 * math.exp(-lam)
 
     h = Resolvent()
     ref = weakref.ref(h)
@@ -88,147 +101,162 @@ def test_root_releases_the_resolvent():
 
 
 def test_root_never_crossing_raises():
-    with pytest.raises(NonConvergenceError):
-        find_root_decreasing(lambda l: 1.5 + 1.0 / (1.0 + l), 1.0, DEFAULT_ROOT_TOL)
+    with pytest.raises(NonConvergenceError) as info:
+        find_root_decreasing(lambda l: (1.5 + 1.0 / (1.0 + l), -1.0 / ((1.0 + l) * (1.0 + l))), 1.0, DEFAULT_ROOT_TOL)
+    assert math.isfinite(info.value.best)
 
 
-def counted(f):
-    def g(x):
-        g.calls += 1
-        return f(x)
+# h(x) = target with h > 0, decreasing and log-convex, and the exact root
+CLOSED_FORMS = [
+    (exp_pair(), 1.0, math.log(2.0)),
+    (lambda x: (2.0 / (1.0 + x) ** 2, -4.0 / (1.0 + x) ** 3), 1.0, math.sqrt(2.0) - 1.0),
+    # e^{-x} + e^{-2x} = 1 at e^{-x} = (sqrt 5 - 1) / 2
+    (lambda x: (math.exp(-x) + math.exp(-2.0 * x), -math.exp(-x) - 2.0 * math.exp(-2.0 * x)), 1.0,
+     math.log((1.0 + math.sqrt(5.0)) / 2.0)),
+    # the constant-rate resolvent of the two-point law (0.5, 1.5), b = 1: root sqrt(0.75)
+    (lambda x: (1.0 / (1.0 + 2.0 * x) + 1.0 / (1.0 + x / 1.5),
+                -2.0 / (1.0 + 2.0 * x) ** 2 - 1.0 / (1.5 * (1.0 + x / 1.5) ** 2)), 1.0, math.sqrt(0.75)),
+    (exp_pair(2.0, 50.0), 1.0, math.log(2.0) / 50.0),  # steep
+    (exp_pair(2e3), 1e3, math.log(2.0)),  # large values: abs_tol is 1e-13 of them
+    # a constant floor just under the target: flat near the root at x = 1
+    (lambda x: (0.999 + 0.002 / (1.0 + x), -0.002 / (1.0 + x) ** 2), 1.0, 1.0),
+]
+CLOSED_IDS = [f"closed-form-{i}" for i in range(len(CLOSED_FORMS))]
 
-    g.calls = 0
-    return g
+
+TG_HALF = AlphaFamily(TruncatedGaussian(0.0, 2.0, 0.7), 0.5).law()
+BETA_QUARTER = PowerLagRate(0.25, 1.0)
+RESOLVENTS = {  # the (H, H') closures of the age model, built on first use
+    **{str(beta): lambda beta=beta: _resolvent_factory(PowerLagRate(beta, 1.0), TG_HALF) for beta in (0.0, 0.25, 2.0)},
+    "witness": lambda: _resolvent_factory(witness_rate(), TG_HALF),
+    "const-dirac": lambda: _resolvent_factory(ConstantRate(1.3), Dirac(0.8)),
+    "const-twopoint": lambda: _resolvent_factory(ConstantRate(1.0), DiscreteMixture([(0.5, 0.5), (1.5, 0.5)])),
+    "general-beta0.25": lambda: general_resolvent(
+        lambda a, v: BETA_QUARTER.hazard(a), lambda a, v: 1.0 / v, TG_HALF, kink_ages=BETA_QUARTER.kinks
+    ),
+}
+ROOT_ULPS = 8  # the distance to brentq's root that find_root_decreasing states
 
 
-def brent_and_brentq(f, a, b, **kw):
-    """(outcome, calls) of _brent and of scipy's brentq on one bracket; the
-    outcome is the root or the exception type."""
+@pytest.mark.parametrize("case", list(RESOLVENTS))
+def test_root_matches_brentq_on_resolvents(case):
     from scipy.optimize import brentq  # the oracle; the package never imports it
 
-    out = []
-    for solve in (lambda g: _brent(g, a, b, **kw), lambda g: brentq(g, a, b, **kw)):
-        g = counted(f)
-        try:
-            out.append((solve(g), g.calls))
-        except (ValueError, RuntimeError) as e:
-            out.append((type(e), g.calls))
-    return out
+    H = RESOLVENTS[case]()
+    x = find_root_decreasing(H, 1.0, DEFAULT_ROOT_TOL)
+    ref = brentq(lambda lam: H(lam)[0] - 1.0, 0.0, 10.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+    assert isinstance(x, float) and abs(x - ref) <= ROOT_ULPS * math.ulp(ref)
 
 
-def resolvent_bracket(beta):
-    """H - 1 of an age-model solve and its bracket, as find_root_decreasing
-    doubles it."""
-    H = _resolvent_factory(PowerLagRate(beta, 1.0), AlphaFamily(TruncatedGaussian(0.0, 2.0, 0.7), 0.5).law())
-    lo, hi = 0.0, 1.0
-    while H(hi) > 1.0:
-        lo, hi = hi, 2.0 * hi
-    return (lambda lam: H(lam) - 1.0), lo, hi
-
-
-CLOSED_FORMS = [
-    (lambda x: 2.0 * math.exp(-x) - 1.0, 0.0, 1.0),
-    (lambda x: 2.0 / (1.0 + x) ** 2 - 1.0, 0.0, 1.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.tanh(50.0 * (x - 0.123)), 0.0, 4.0),
-    (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) * f(b) underflows to -0
-    (lambda x: (0.3 - x) ** 3, 0.0, 1.0),  # a triple root: the iterations run out
-]
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.25, 2.0])
-def test_brent_matches_brentq_on_resolvents(beta):
-    f, lo, hi = resolvent_bracket(beta)
-    kw = dict(xtol=1e-15 * max(1.0, hi), rtol=1e-15, maxiter=120)
-    (x, calls), expect = brent_and_brentq(f, lo, hi, **kw)
-    assert (x, calls) == expect and isinstance(x, float)
-
-
-@pytest.mark.parametrize("case", range(len(CLOSED_FORMS)))
-@pytest.mark.parametrize("kw", [dict(xtol=1e-15, rtol=1e-15, maxiter=100), dict(xtol=2e-12, rtol=8.9e-16, maxiter=100),
-                                dict(xtol=1e-15, rtol=1e-15, maxiter=3)])
-def test_brent_matches_brentq_on_closed_forms(case, kw):
-    f, a, b = CLOSED_FORMS[case]
-    got, expect = brent_and_brentq(f, a, b, **kw)
-    assert got == expect
-
-
-def test_brent_rejects_a_bracket_without_sign_change():
-    assert brent_and_brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12, rtol=1e-15, maxiter=50) == [(ValueError, 2)] * 2
-
-
-def test_brent_exhaustion_falls_back_to_bisection():
-    # the triple root exhausts Brent on the bracket [0, 1] that doubling finds
-    h = lambda x: (0.3 - x) ** 3
-    with pytest.raises(RuntimeError):
-        _brent(h, 0.0, 1.0, xtol=1e-15, rtol=1e-15, maxiter=max(DEFAULT_ROOT_TOL.max_iter, 100))
-    x = find_root_decreasing(h, 0.0, DEFAULT_ROOT_TOL)
-    assert abs(h(x)) <= DEFAULT_ROOT_TOL.abs_tol
-
-
-def unmemoized_root(h, tol=DEFAULT_ROOT_TOL):
-    """(root, evaluations) of the solve of h = 0 without a memo: doubling,
-    then _brent on the same bracket, then the residual check; root None
-    where Brent raises or leaves too large a residual."""
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return float(h(x))
-
-    f(0.0)
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-    try:
-        x = _brent(f, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=1e-15, maxiter=max(tol.max_iter, 100))
-    except (ValueError, RuntimeError):
-        return None, len(calls)
-    return (x if abs(f(x)) <= tol.abs_tol else None), len(calls)
-
-
-def decreasing(f):
-    """f, or -f where f(0) < 0: a closed form with a root of h = 0 past h(0) > 0."""
-    return f if f(0.0) > 0.0 else (lambda x: -f(x))
+@pytest.mark.parametrize("case", range(len(CLOSED_FORMS)), ids=CLOSED_IDS)
+def test_root_matches_closed_form_roots(case):
+    # to a few ulps of the root, plus the few ulps of h that its slope
+    # turns into a spread of roots (1e-12 for the flat closed-form-6)
+    h, target, root = CLOSED_FORMS[case]
+    x = find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
+    assert abs(x - root) <= 4.0 * (math.ulp(root) + math.ulp(target) / -h(root)[1])
 
 
 @pytest.mark.parametrize(
-    "h",
-    [resolvent_bracket(beta)[0] for beta in (0.0, 0.25, 2.0)] + [decreasing(f) for f, _, _ in CLOSED_FORMS],
-    ids=[f"resolvent-beta{b:g}" for b in (0.0, 0.25, 2.0)] + [f"closed-form-{i}" for i in range(len(CLOSED_FORMS))],
+    "h, target",
+    [(RESOLVENTS[str(beta)](), 1.0) for beta in (0.0, 0.25, 2.0)] + [c[:2] for c in CLOSED_FORMS],
+    ids=[f"resolvent-beta{b:g}" for b in (0.0, 0.25, 2.0)] + CLOSED_IDS,
 )
-def test_root_evaluates_no_abscissa_twice(h):
+def test_root_evaluates_no_abscissa_twice(h, target):
     seen = []
 
     def recorded(x):
         seen.append(x)
         return h(x)
 
-    x = find_root_decreasing(recorded, 0.0, DEFAULT_ROOT_TOL)
-    assert len(seen) == len(set(seen))
-    expect, calls = unmemoized_root(h)
-    if expect is None:  # Brent failed; bisection found the root
-        assert abs(h(x)) <= DEFAULT_ROOT_TOL.abs_tol
+    x = find_root_decreasing(recorded, target, DEFAULT_ROOT_TOL)
+    # the iterates increase strictly, so none repeats
+    assert seen[0] == 0.0 and all(a < b for a, b in zip(seen, seen[1:]))
+    assert abs(h(x)[0] - target) <= DEFAULT_ROOT_TOL.abs_tol
+
+
+def test_root_rejects_h0_at_or_below_target():
+    for c in (1.0, 0.5):
+        with pytest.raises(ValueError, match="h\\(0\\) <= target"):
+            find_root_decreasing(exp_pair(c), 1.0, DEFAULT_ROOT_TOL)
+    for target in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="target must be positive"):
+            find_root_decreasing(exp_pair(), target, DEFAULT_ROOT_TOL)
+
+
+def test_root_rejects_non_finite_values():
+    # NaN where the first Newton step lands, in the value and in the slope
+    value = lambda x: (math.nan if x > 0.5 else 2.0 * math.exp(-x), -2.0 * math.exp(-x))
+    slope = lambda x: (2.0 * math.exp(-x), math.nan if x > 0.5 else -2.0 * math.exp(-x))
+    for h in (value, slope):
+        with pytest.raises(ValueError, match=f"not finite at x={math.log(2.0)!r}"):
+            find_root_decreasing(h, 1.0, DEFAULT_ROOT_TOL)
+    with pytest.raises(ValueError, match="not finite at x=0.0"):
+        find_root_decreasing(lambda x: (math.inf, -1.0), 1.0, DEFAULT_ROOT_TOL)
+
+
+def test_root_exhaustion_raises_with_best():
+    # Newton takes five steps on 2 / (1 + x)^2 = 1; two run out
+    h, target, root = CLOSED_FORMS[1]
+    with pytest.raises(NonConvergenceError, match="within 2 Newton steps") as info:
+        find_root_decreasing(h, target, Tolerance(abs_tol=1e-10, max_iter=2))
+    assert 0.4 < info.value.best < root
+
+
+def test_root_failure_states_the_residual():
+    # h drops by 4 at x = 0.5, past which it never meets the target: the
+    # first step lands at ln 2 with residual 0.75
+    h = lambda x: ((2.0 if x < 0.5 else 0.5) * math.exp(-x), -(2.0 if x < 0.5 else 0.5) * math.exp(-x))
+    with pytest.raises(NonConvergenceError, match=r"residual 0\.75\b") as info:
+        find_root_decreasing(h, 1.0, DEFAULT_ROOT_TOL)
+    assert info.value.best == math.log(2.0)
+
+
+def test_root_raises_where_the_slope_vanishes_above_the_target():
+    with pytest.raises(NonConvergenceError, match="stops decreasing at x=0.0") as info:
+        find_root_decreasing(lambda x: (2.0, 0.0), 1.0, DEFAULT_ROOT_TOL)
+    assert info.value.best == 0.0
+
+
+mixtures = st.lists(st.tuples(st.floats(1e-3, 1e2), st.floats(1e-3, 1e2)), min_size=1, max_size=6)
+
+
+def mixture(terms, constant=0.0):
+    """x -> (constant + sum c e^{-d x}, its slope), recording every x."""
+
+    def h(x):
+        h.seen.append(x)
+        e = [c * math.exp(-d * x) for c, d in terms]
+        return constant + math.fsum(e), -math.fsum(d * v for (_, d), v in zip(terms, e))
+
+    h.seen = []
+    return h
+
+
+@given(mixtures, st.floats(0.01, 0.99))
+@settings(deadline=None, max_examples=200)
+def test_root_contract_on_exponential_mixtures(terms, frac):
+    h = mixture(terms)
+    target = frac * math.fsum(c for c, _ in terms)
+    try:
+        x = find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
+    except NonConvergenceError as e:
+        assert math.isfinite(e.best)
     else:
-        # the bracket ends and the certificate are the three repeats saved
-        assert x == expect and len(seen) == calls - 3
+        assert abs(h(x)[0] - target) <= DEFAULT_ROOT_TOL.abs_tol
+        h.seen.pop()
+    assert h.seen[0] == 0.0 and all(a < b for a, b in zip(h.seen, h.seen[1:]))
 
 
-def test_root_failure_chains_brents_exception():
-    # NaN where Brent's first secant step lands; bisection stalls at its edge
-    h = lambda x: math.nan if 0.4 < x < 0.6 else 1.0 - x
+@given(mixtures, st.floats(0.1, 10.0), st.floats(1e-9, 10.0))
+@settings(deadline=None, max_examples=100)
+def test_root_never_crossing_mixtures_raise(terms, target, excess):
+    # a constant term above the target: h never comes within abs_tol of it
+    h = mixture(terms, constant=target * (1.0 + excess))
     with pytest.raises(NonConvergenceError) as info:
-        find_root_decreasing(h, 0.5, DEFAULT_ROOT_TOL)
-    assert isinstance(info.value.__cause__, ValueError)
-    assert "NaN" in str(info.value)
-
-
-def test_root_failure_states_brents_residual():
-    # a step has no root: Brent converges to the jump, leaving residual 0.5
-    with pytest.raises(NonConvergenceError, match=r"residual 0\.5\b") as info:
-        find_root_decreasing(lambda x: 1.0 if x < 0.3 else 0.0, 0.5, DEFAULT_ROOT_TOL)
-    assert info.value.__cause__ is None and abs(info.value.best - 0.3) < 1e-12
+        find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
+    assert math.isfinite(info.value.best)
+    assert all(a < b for a, b in zip(h.seen, h.seen[1:]))
 
 
 # --- random stream -----------------------------------------------------------

@@ -34,7 +34,7 @@ def fresh_python(code):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # Brent is implemented in the package; importing scipy.optimize costs
+    # the root finder is the package's own; importing scipy.optimize costs
     # every process ~0.2 s and ~24 MiB (2 vCPUs, SciPy 1.17)
     code = "import sys, malthus, malthus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
     assert fresh_python(code) == "[]"

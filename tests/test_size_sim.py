@@ -129,10 +129,23 @@ def test_scalar_division_size_equals_array_entry(beta):
 
 
 def test_division_size_propagates_nan_birth_size():
+    # the simulator's inverse: a NaN birth size gives a NaN division size
+    # and leaves its neighbours alone (the public sampler rejects it)
     div = SizeDivisionRate(1.0, 2.0, "unit_size")
-    assert math.isnan(sample_division_size(div, math.nan, 0.3))
-    s = sample_division_size(div, np.asarray([0.5, math.nan, 1.5]), 0.3)
+    s = _inverse_from(div, np.asarray([0.5, math.nan, 1.5]), np.full(3, -math.log1p(-0.3)))
     assert math.isnan(s[1]) and np.isfinite(s[[0, 2]]).all()
+    assert s[0] == sample_division_size(div, 0.5, 0.3) and s[2] == sample_division_size(div, 1.5, 0.3)
+
+
+def test_samplers_reject_nan_inputs():
+    div = SizeDivisionRate(1.0, 2.0, "unit_size")
+    for x_b, u in ((math.nan, 0.5), (1.0, math.nan), ([0.5, math.nan], 0.5), (1.0, [0.2, math.nan])):
+        with pytest.raises(ValueError):
+            sample_division_size(div, x_b, u)
+    for x_b, s, v in ((1.0, 2.0, math.nan), (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, [1.0, math.nan])):
+        for growth in (Exponential(), Linear()):
+            with pytest.raises(ValueError):
+                lifetime(growth, x_b, s, v)
 
 
 def test_unit_time_sampler_matches_quadrature_cdf():
@@ -593,6 +606,22 @@ def test_streamed_measures_reject_times_past_the_tree():
             tree_measures(cfg, RngStream(1, 0), [1.0, t])
         with pytest.raises(ValueError, match="horizon"):
             simulate_tree(cfg, RngStream(1, 0)).living_mask(t)
+
+
+def test_measures_reject_nan_times():
+    cfg = make_config(horizon=4.0)
+    tree = simulate_tree(cfg, RngStream(1, 0))
+    calls = [
+        lambda: biomass_at(tree, math.nan),
+        lambda: tree.living_mask(math.nan),
+        lambda: tree.living_count(math.nan),
+        lambda: tree.sizes_at(math.nan),
+        lambda: tree_measures(cfg, RngStream(1, 0), [math.nan, 4.0]),
+        lambda: size_sim.group_measures(cfg, [RngStream(1, 0), RngStream(1, 1)], [2.0, math.nan]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="horizon"):
+            call()
 
 
 def test_streamed_measures_hold_frontier_not_tree():
