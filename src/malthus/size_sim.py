@@ -64,6 +64,9 @@ _DOM_SPLIT = 2 << 40
 _RATE_BUDGET = 10_000
 _REDRAW_BUDGET = 129
 _THINNING_BUDGET = 100_000
+# thinning attempts on a cell's birth-size envelope; past them its envelope
+# follows its last candidate
+_THINNING_REANCHOR = 10_000
 _ROOT_KEY = np.uint64(0x243F6A8885A308D3)
 # the trees of a group share one frontier until their next generation
 # would hold more cells than this; then each tree continues alone
@@ -500,6 +503,14 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     sequential ``np.add.accumulate`` along the block, which adds in the
     same order as one attempt at a time.  Either way the cells still
     alive are compacted through one index, taken by all five state arrays.
+
+    Under beta = 0 the acceptance x_b/s decays like 1/k while the candidate
+    s grows linearly with the attempts k, so about k^(-1/v) of cells
+    outlast k attempts.  A cell still alive after ``_THINNING_REANCHOR``
+    attempts freezes the 1/s factor at its last candidate instead, before
+    each further single attempt: that envelope still bounds the hazard
+    beyond the candidate, and its acceptance no longer decays.  A cell
+    accepted earlier never sees it.
     """
     n = bases.size
     out = np.empty(n)
@@ -512,7 +523,12 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
             raise RuntimeError(
                 f"thinning budget exhausted for {idx.size} cells (birth sizes near {x_b[idx][:3]}, rates near {v[idx][:3]})"
             )
-        K = min(64, n // idx.size, _THINNING_BUDGET - k)
+        if k >= _THINNING_REANCHOR:
+            xb = div.inverse_cumulative(cum)
+            step = v[idx] * xb
+            K = 1
+        else:
+            K = min(64, n // idx.size, _THINNING_BUDGET - k, _THINNING_REANCHOR - k)
         if K == 1:
             cnt = np.uint64(_DOM_SIZE + 2 * k)
             walk = cum + step * -np.log(open_uniforms_at(b, cnt))

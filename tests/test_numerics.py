@@ -138,9 +138,13 @@ RESOLVENTS = {  # the (H, H') closures of the age model, built on first use
 ROOT_ULPS = 8  # the distance to brentq's root that find_root_decreasing states
 
 
+# scipy's brentq, Brent's method, is the oracle for the roots below; the
+# package never imports it
+
+
 @pytest.mark.parametrize("case", list(RESOLVENTS))
-def test_root_matches_brentq_on_resolvents(case):
-    from scipy.optimize import brentq  # the oracle; the package never imports it
+def test_brent_matches_brentq_on_resolvents(case):
+    from scipy.optimize import brentq
 
     H = RESOLVENTS[case]()
     x = find_root_decreasing(H, 1.0, DEFAULT_ROOT_TOL)
@@ -148,13 +152,23 @@ def test_root_matches_brentq_on_resolvents(case):
     assert isinstance(x, float) and abs(x - ref) <= ROOT_ULPS * math.ulp(ref)
 
 
-@pytest.mark.parametrize("case", range(len(CLOSED_FORMS)), ids=CLOSED_IDS)
-def test_root_matches_closed_form_roots(case):
+@pytest.mark.parametrize("case", range(len(CLOSED_FORMS)))
+@pytest.mark.parametrize("kw", [dict(xtol=1e-15, rtol=1e-15, maxiter=100), dict(xtol=2e-12, rtol=8.9e-16, maxiter=100),
+                                dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)])
+def test_brent_matches_brentq_on_closed_forms(case, kw):
+    from scipy.optimize import brentq
+
     # to a few ulps of the root, plus the few ulps of h that its slope
     # turns into a spread of roots (1e-12 for the flat closed-form-6)
     h, target, root = CLOSED_FORMS[case]
+    spread = math.ulp(target) / -h(root)[1]
+    bound = 4.0 * (math.ulp(root) + spread)
     x = find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
-    assert abs(x - root) <= 4.0 * (math.ulp(root) + math.ulp(target) / -h(root)[1])
+    assert abs(x - root) <= bound
+    # brentq's root lies within xtol + rtol |x| of a sign change of the
+    # rounded h - target, which itself lies within the spread of the root
+    ref = brentq(lambda y: h(y)[0] - target, 0.0, 2.0 * root + 1.0, **kw)
+    assert abs(x - ref) <= bound + spread + kw["xtol"] + kw["rtol"] * abs(ref)
 
 
 @pytest.mark.parametrize(

@@ -302,6 +302,23 @@ def test_thinning_budget_edge(monkeypatch):
     assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
 
 
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+@pytest.mark.parametrize("reanchor", [0, 3])
+def test_thinning_past_its_birth_size_envelope_keeps_the_division_law(beta, reanchor, monkeypatch):
+    # the probability integral transform of each division size, through the
+    # exact hazard B(s)/(v s) per unit size from max(x_b, x0) with x0 = 1,
+    # is uniform whether the envelope follows the candidate from the first
+    # attempt or from the fourth
+    monkeypatch.setattr(size_sim, "_THINNING_REANCHOR", reanchor)
+    rng = np.random.default_rng(11)
+    n = 4000
+    x_b, v = rng.uniform(0.3, 3.0, n), rng.uniform(0.5, 2.0, n)
+    s = _division_sizes(make_config(division=SizeDivisionRate(1.0, beta, "unit_time")), cell_bases(11, 4, n), x_b, v)
+    G = np.log if beta == 0.0 else (lambda x: x * x / 2.0 - 2.0 * x + np.log(x))  # integral of (x - 1)^beta / x
+    u = -np.expm1(-(G(s) - G(np.maximum(x_b, 1.0))) / v)
+    assert stats.kstest(u, "uniform").pvalue > 0.01
+
+
 def test_thinning_draws_the_same_attempts(monkeypatch):
     # pinned pass sizes, 1533 attempts in all: a single-attempt pass on
     # 1-D arrays and a block draw exactly these attempts, no spare one
@@ -652,6 +669,11 @@ def test_streamed_measures_hold_frontier_not_tree():
 
 @pytest.mark.parametrize("split", [False, True], ids=["shared", "split"])
 @given(any_config(), st.integers(0, 2**31 - 1), st.lists(st.integers(0, 2**20), min_size=1, max_size=5), st.integers(1, 200))
+# under beta = 0 a cell of this tree needs more than 10^5 thinning
+# attempts on its birth-size envelope
+@example(
+    cfg=make_config(1.0, 2.0, division=SizeDivisionRate(1.0, 0.0, "unit_time")), seed=913, streams=[1067], bound=1
+)
 @settings(deadline=None, max_examples=30)
 def test_group_measures_equal_trees_alone(split, cfg, seed, streams, bound):
     # a group never changes a tree's values, whether the trees share their
