@@ -9,14 +9,14 @@ population growth exponent lambda solves
 
 Every age integral uses one 16-point Gauss-Legendre rule on geometrically
 graded panels.  Integrals against the division-age law go through one
-table built per call: panels graded toward 0 and toward the onset of the
-support and cut at the kinks of B, with one set of weights for f_B
-(terminal atom included) and one for the survival S.  The resolvent is
-then a single weighted sum over the table nodes and the rate nodes of rho;
-the closed forms of the constant rate serve only as test oracles.
-Integrals up to each node (the accumulated hazard of the general form)
-come from the rule's antiderivative matrix, and the eigenvector tails
-from a table cut at the user's grid ages.
+table, built once per division rate and kept on it: panels graded toward 0
+and toward the onset of the support and cut at the kinks of B, with one
+set of weights for f_B (terminal atom included) and one for the survival
+S.  The resolvent is then a single weighted sum over the table nodes and
+the rate nodes of rho; the closed forms of the constant rate serve only as
+test oracles.  Integrals up to each node (the accumulated hazard of the
+general form) come from the rule's antiderivative matrix, and the
+eigenvector tails from a table cut at the user's grid ages, built per call.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -92,6 +92,18 @@ class _DivisionRate:
 
     def density(self, a):
         return self.hazard(a) * self.survival(a)
+
+    @functools.cached_property
+    def _fb(self) -> tuple:
+        """(a, w) of the f_B table (:func:`_fb_table`), then (a, w) of the
+        rows of it that the resolvent keeps (:func:`_kept_rows`): built on
+        first use and kept on the rate, read-only, for every later solve."""
+        a, w, _ = _fb_table(self)
+        keep = _kept_rows(w)
+        arrays = (a, w, a[keep], w[keep])
+        for x in arrays:
+            x.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -522,10 +534,14 @@ def _antiderivative_matrix() -> np.ndarray:
 
 def _cumulative(f: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """int_0^a f at every Gauss node a on the panels ``edges``, from the
-    values f[..., panel, node] there: the earlier panels' sum plus Q."""
-    part = np.einsum("...pj,kj->...pk", f, _antiderivative_matrix()) * (0.5 * np.diff(edges))[:, None]
-    whole = part[..., -1]
-    return (np.cumsum(whole, axis=-1) - whole)[..., None] + part[..., :-1]
+    values f[node, ..., panel] there, node-major.  Q contracts the node axis
+    first, so each of its rows weighs 16 contiguous blocks of f; each
+    panel's integrals then take on the earlier panels' sum, in place."""
+    part = np.einsum("j...,kj->k...", f, _antiderivative_matrix())
+    part *= 0.5 * np.diff(edges)
+    whole = part[-1]
+    part[:-1] += np.cumsum(whole, axis=-1) - whole
+    return part[:-1]
 
 
 def _fb_table(B, ages: Sequence[float] = ()):
@@ -573,11 +589,11 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
 def _resolvent_factory(B, law) -> Callable[[float], tuple]:
     """lambda -> (H(lambda), H'(lambda)) with H(lambda) = 2 iint
     exp(-lambda a / v) f_B(a) rho(v) dv da, one weighted sum over the kept
-    rows of the f_B table (:func:`_kept_rows`) and the rate nodes per
-    evaluation; the slope -2 iint (a / v) exp(-lambda a / v) f_B rho sums
-    the same exponentials with the weights of rho over v and those of f_B
-    times a.  At lambda = 0 every exponential is 1, and both come from
-    the weight sums alone.
+    rows of the f_B table (:func:`_kept_rows`), built once and read from
+    the rate, and the rate nodes per evaluation; the slope -2 iint (a / v)
+    exp(-lambda a / v) f_B rho sums the same exponentials with the weights
+    of rho over v and those of f_B times a.  At lambda = 0 every
+    exponential is 1, and both come from the weight sums alone.
 
     The exponentials are taken a block of rows at a time, in one scratch
     block of about ``_BLOCK`` elements reused by every evaluation: a fresh
@@ -587,9 +603,7 @@ def _resolvent_factory(B, law) -> Callable[[float], tuple]:
     in the same order whatever the block size, so H and H' do not depend
     on it."""
     nodes, weights = law.quadrature()
-    a, w, _ = _fb_table(B)
-    keep = _kept_rows(w)
-    a, w = a[keep], w[keep]
+    a, w = B._fb[2:]
     over_v = -weights / nodes
     row_w = np.stack([w, w * a])  # the rows' weights in H and in H'
     at_zero = (2.0 * float(w.sum()) * float(weights.sum()), 2.0 * float(row_w[1].sum()) * float(over_v.sum()))
@@ -655,11 +669,13 @@ def malthus_general(
     toward every age of ``kink_ages`` (where an onset (a - lag)^beta sits),
     that fall inside it, so the hazard is evaluated once per node at the
     points of the final grid and nowhere else.  The inverse speed is then
-    evaluated on the same points, and both are accumulated panel by panel
-    through the rule's antiderivative matrix, so each resolvent evaluation
-    is one exponential and two weighted sums, for H and its slope; it skips
-    the leading panels where the hazard is 0 at every node, whose inverse
-    speed enters only as a carried total.
+    evaluated on the same points.  Both are written once into one
+    node-major block (Gauss node x quantity x rate node x panel) and
+    accumulated by :func:`_cumulative`, which contracts the node axis
+    first; the leading panels where the hazard is 0 at every node are left
+    out, and their inverse speed enters only as a carried total.  Each
+    resolvent evaluation is then one exponential and two weighted sums, for
+    H and its slope, and at lambda = 0 both come from the weight sums.
     """
     nodes, weights = rho.quadrature()
     graded = (0.0, *kink_ages)
@@ -670,16 +686,18 @@ def malthus_general(
             row[...] = fn(t, float(v))
         return out
 
-    spans = []  # (edges, nodes, weights, hazard at every rate node) per span
+    # per span: edges, Gauss nodes and weights (node x panel), hazard
+    # (rate node x node x panel)
+    spans = []
     mass = np.zeros(nodes.size)
     start, end = 0.0, 1.0
     for _ in range(64):
         edges = _panel_edges(end, graded)
         edges = np.append(start, edges[edges > start])
-        t, w_t = (x.ravel() for x in _gl_on(edges[:-1, None], edges[1:, None]))
-        haz = on_grid(hazard, t, np.empty((nodes.size, t.size)))
-        spans.append((edges, t, w_t, haz))
-        mass += np.einsum("vi,i->v", haz, w_t)
+        t, w_t = (x.T for x in _gl_on(edges[:-1, None], edges[1:, None]))
+        haz = on_grid(hazard, t.ravel(), np.empty((nodes.size, t.size)))
+        spans.append((edges, t, w_t, haz.reshape(nodes.size, *t.shape)))
+        mass += np.einsum("vi,i->v", haz, w_t.ravel())
         if mass.min() >= -math.log(TAIL_EPS):
             break
         start, end = end, 2.0 * end
@@ -687,30 +705,33 @@ def malthus_general(
         raise ValueError("hazard accumulates no mass")
 
     edges = np.unique(np.concatenate([span[0] for span in spans]))
-    t, w_t = (np.concatenate([span[i] for span in spans]) for i in (1, 2))
-    both = np.empty((2, nodes.size, t.size))  # hazard and inverse speed
-    np.concatenate([span[3] for span in spans], axis=1, out=both[0])
-    del spans, haz
-    on_grid(inv_speed, t, both[1])
+    t, w_t, haz = (np.concatenate([span[i] for span in spans], axis=-1) for i in (1, 2, 3))
+    del spans
+    inv = on_grid(inv_speed, t.ravel(), np.empty((nodes.size, t.size))).reshape(haz.shape)
     # the panels before the first with hazard at any rate node, the lag
     # before an onset, add nothing to H: only their inverse speed carries on
-    per_panel = t.size // (edges.size - 1)
-    lag = int(np.argmax(both[0].any(axis=0))) // per_panel
-    carry = np.einsum("vi,i->v", both[1, :, : lag * per_panel], w_t[: lag * per_panel])
-    both, w_t = both[:, :, lag * per_panel :], w_t[lag * per_panel :]
-    wh = (weights[:, None] * w_t * both[0]).ravel()
-    cum = _cumulative(both.reshape(2, nodes.size, -1, per_panel), edges[lag:])
-    del both
-    cum[1] += carry[:, None, None]
+    lag = int(np.argmax(haz.any(axis=(0, 1))))
+    carry = np.einsum("vjp,jp->v", inv[..., :lag], w_t[:, :lag])
+    w_t = w_t[:, lag:]
+    # node x quantity (hazard, inverse speed) x rate node x panel
+    block = np.stack([x[..., lag:].transpose(1, 0, 2) for x in (haz, inv)], axis=1)
+    del haz, inv
+    wh = (weights[:, None] * w_t[:, None, :] * block[:, 0]).ravel()
+    cum = _cumulative(block, edges[lag:])
+    del block
     # wh takes the survival exp(-ch) in, so an evaluation is one exponential
-    # of -lambda cp and two sums, with weights wh for H and wh cp for -H';
-    # the accumulated hazard's storage becomes the buffer they all reuse
-    buf, cp = cum.reshape(2, -1)
-    np.negative(buf, out=buf)
+    # of -lambda cp and two sums, with weights wh for H and wh cp for -H',
+    # all flat and contiguous; -ch becomes the buffer they all reuse.  At
+    # lambda = 0 every exponential is 1, and H and H' are the weight sums.
+    buf, cp = np.negative(cum[:, 0]).ravel(), (cum[:, 1] + carry[:, None]).ravel()
+    del cum
     wh *= np.exp(buf, out=buf)
     whp = wh * cp
+    at_zero = (2.0 * float(wh.sum()), -2.0 * float(whp.sum()))
 
     def H(lam: float) -> tuple:
+        if lam == 0.0:
+            return at_zero
         np.multiply(cp, -lam, out=buf)
         np.exp(buf, out=buf)
         return 2.0 * float(np.einsum("i,i->", wh, buf)), -2.0 * float(np.einsum("i,i->", whp, buf))
@@ -809,17 +830,22 @@ def dlambda_dalpha(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> fl
     Ratio of the two mixed moments of the division-age law under the
     contracted rates; tends to 0 as alpha -> 0.
     """
+    return _lambda_and_slope(B, fam, tol)[1]
+
+
+def _lambda_and_slope(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> tuple:
+    """(lambda, d lambda / d alpha) at fam.alpha, from one root solve."""
     if not isinstance(fam, AlphaFamily):
         raise TypeError("fam must be an AlphaFamily")
     lam = malthus_with_variability(B, fam.law(), tol)
     nodes, weights = fam.baseline.quadrature()
     m = fam.baseline.mean
     u = fam.alpha * (nodes - m) + m
-    a, w, _ = _fb_table(B)
+    a, w = B._fb[:2]
     expo = np.exp(np.multiply.outer(a, -lam / u))
     d1 = np.einsum("i,ij,j->", w * a, expo, weights / u)
     d2 = np.einsum("i,ij,j->", w * a, expo, weights * (nodes - m) / (u * u)) * lam
-    return float(d2 / d1)
+    return lam, float(d2 / d1)
 
 
 def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
@@ -835,7 +861,7 @@ def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
         return 0.0
     m = baseline.mean
     lam = malthus_reference(B, m, tol)
-    a, w, _ = _fb_table(B)
+    a, w = B._fb[:2]
     sa = (lam / m) * a
     we = w * np.exp(-sa)
     return var * float(np.einsum("i,i->", we, sa * (sa - 2.0)) / np.einsum("i,i->", we, a / m)) / (m * m)

@@ -32,11 +32,10 @@ from .age_model import (
     PowerLagRate,
     TruncatedGaussian,
     UniformLaw,
+    _lambda_and_slope,
     cv_curve,
     d2lambda_at_zero,
-    dlambda_dalpha,
     malthus_reference,
-    malthus_with_variability,
 )
 from .estimator import _check_run, _worker_count, cv_table, estimator_sd_comparison
 from .numerics import RngStream
@@ -257,9 +256,9 @@ def _cmd_age_perturb(args) -> int:
     d2 = d2lambda_at_zero(B, baseline)
     rows = [(0.0, lam0, lam0, 0.0, d2, 0.0)]
     for fam in families:
-        lam = malthus_with_variability(B, fam.law())
+        lam, slope = _lambda_and_slope(B, fam)
         approx = lam0 + 0.5 * d2 * fam.alpha * fam.alpha
-        rows.append((fam.alpha, lam, approx, lam - approx, d2, dlambda_dalpha(B, fam)))
+        rows.append((fam.alpha, lam, approx, lam - approx, d2, slope))
     _write_csv(
         args.out,
         ["alpha", "lambda_exact", "lambda_quadratic_approx", "residual", "d2_at_zero", "dlambda_dalpha"],

@@ -159,13 +159,15 @@ def test_general_solver_reduces_to_variability(tg):
     assert abs(lam_gen - malthus_with_variability(B, tg)) < 1e-9
 
 
-@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 0.0, 1.0, 2.0, 3.0, 7.0])
 def test_general_solver_resolves_fractional_onset(tg, beta):
-    # the (a - lag)^beta onset must be graded toward like 0 is
+    # the (a - lag)^beta onset must be graded toward like 0 is; the two
+    # solvers' quadratures differ, and agree to 3.7e-14 at worst (beta = 7)
     B = PowerLagRate(beta, 1.0)
-    law = AlphaFamily(tg, 0.5).law()
-    lam_gen = malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, law, kink_ages=B.kinks)
-    assert abs(lam_gen - malthus_with_variability(B, law)) <= 1e-10
+    for alpha in (0.25, 0.5, 1.0):
+        law = AlphaFamily(tg, alpha).law()
+        lam_gen = malthus_general(lambda a, v: B.hazard(a), lambda a, v: 1.0 / v, law, kink_ages=B.kinks)
+        assert abs(lam_gen - malthus_with_variability(B, law)) <= 1e-13, alpha
 
 
 def test_fractional_power_lag_matches_adaptive_quadrature():
@@ -263,6 +265,45 @@ def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
             assert abs(v - ref) <= 1e-14 * abs(ref)
     monkeypatch.setattr(age_model, "_BLOCK", 64 * 64)
     assert solves() == default
+
+
+def test_f_b_table_is_built_once_per_rate(tg, monkeypatch):
+    # a curve, lambda''(0) and dlambda/dalpha on one rate: eight solves and
+    # two derivatives, which rebuilt the table ten times when each call
+    # built its own
+    builds = []
+    build = age_model._fb_table
+    monkeypatch.setattr(age_model, "_fb_table", lambda B, ages=(): builds.append(B) or build(B, ages))
+    B = PowerLagRate(2.0, 1.0)
+    cv_curve(B, tg, [0.1, 0.3, 0.5, 0.7, 0.9])
+    d2lambda_at_zero(B, tg)
+    dlambda_dalpha(B, AlphaFamily(tg, 0.5))
+    assert builds == [B]
+
+
+def test_kept_f_b_table_is_read_only():
+    B = witness_rate()
+    malthus_reference(B, 1.0)
+    assert len(B._fb) == 4
+    for x in B._fb:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+
+@pytest.mark.parametrize("make", [lambda: PowerLagRate(0.25, 1.0), lambda: ConstantRate(1.3), witness_rate],
+                         ids=["beta0.25", "const", "witness"])
+def test_warm_rate_solves_as_a_fresh_equal_rate(tg, make):
+    # the kept table neither changes a value nor the rate's identity
+    law = AlphaFamily(tg, 0.5).law()
+    warm = make()
+    d2lambda_at_zero(warm, tg)
+    dlambda_dalpha(warm, AlphaFamily(tg, 0.25))
+    fresh = make()
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert malthus_with_variability(warm, law) == malthus_with_variability(fresh, law)
+    assert malthus_reference(warm, 0.8) == malthus_reference(make(), 0.8)
+    assert dlambda_dalpha(warm, AlphaFamily(tg, 0.5)) == dlambda_dalpha(make(), AlphaFamily(tg, 0.5))
 
 
 def test_resolvent_slopes_match_the_constant_rate_closed_form():

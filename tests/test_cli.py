@@ -314,7 +314,8 @@ def test_size_mc_alpha_zero_first_row_keeps_baseline(tmp_path):
 # SHA-256 prefixes of small outputs, pinned to guard byte identity across
 # refactors: all three samplers (inverse transform, linear-growth inverse
 # transform, thinning), both kernels and splits, both growth laws and a
-# kernel-drawn root rate
+# kernel-drawn root rate; then the age model's quadratic expansion in alpha,
+# for a power-lag and a constant rate
 PINNED = [
     (["size-mc", "--set", "rows=0.3:7,0.8:7.5", "--set", "M=6", "--set", "seed=4"], "0f913823dc64b45d"),
     (["size-mc", "--set", "rows=0.5:7", "--set", "M=5", "--set", "seed=2", "--set", "baseline=uniform:0.4,1.6",
@@ -327,6 +328,8 @@ PINNED = [
       "--set", "split=asym:0.1", "--set", "kernel=ar:0.5"], "8a527d89c55f84df"),
     (["tree-dump", "--alpha", "0.7", "--horizon", "8", "--seed", "2", "--set", "growth=linear",
       "--set", "baseline=uniform:0.4,1.6", "--set", "root_rate=kernel"], "67efd0bf229450c8"),
+    (["age-perturb", "--beta", "2", "--lag", "1", "--alphas", "0.2", "0.5"], "4e27787e3942146a"),
+    (["age-perturb", "--b-const", "1.0", "--alphas", "0.2", "0.5"], "1f80fdc2b094427e"),
 ]
 
 
