@@ -3,8 +3,9 @@
 
 Nine rows of increasing rate variability (CV from 5% to 45% of the mean),
 50 trees per row, horizons chosen so trees reach ~5e4..1e5 cells.  Writes
-the CSV plus a manifest next to it.  Takes a few minutes single-threaded;
-set MALTHUS_THREADS to parallelize.
+the CSV plus a manifest next to it.  Takes about 14 s at one worker, the
+default (2 vCPUs, Python 3.11, NumPy 2.4); set MALTHUS_THREADS to
+parallelize.
 """
 import sys
 

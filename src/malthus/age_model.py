@@ -10,13 +10,14 @@ population growth exponent lambda solves
 Every age integral uses one 16-point Gauss-Legendre rule on geometrically
 graded panels.  Integrals against the division-age law go through one
 table, built once per division rate and kept on it: panels graded toward 0
-and toward the onset of the support and cut at the kinks of B, with one
-set of weights for f_B (terminal atom included) and one for the survival
-S.  The resolvent is then a single weighted sum over the table nodes and
-the rate nodes of rho; the closed forms of the constant rate serve only as
-test oracles.  Integrals up to each node (the accumulated hazard of the
-general form) come from the rule's antiderivative matrix, and the
-eigenvector tails from a table cut at the user's grid ages, built per call.
+and toward the onset of the support and cut at the kinks of B, weighted by
+f_B (terminal atom included).  One evaluator sums exp(-lambda a / v) over
+its nodes and a set of rates v: the nodes of rho for the resolvent and its
+slope, and others for the alpha-derivatives.  The closed forms of the
+constant rate are test oracles only.  Integrals up to each node (the
+accumulated hazard of the general form) come from the rule's
+antiderivative matrix, and the eigenvector tails from a table cut at the
+user's grid ages, built per call.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -95,12 +96,12 @@ class _DivisionRate:
 
     @functools.cached_property
     def _fb(self) -> tuple:
-        """(a, w) of the f_B table (:func:`_fb_table`), then (a, w) of the
-        rows of it that the resolvent keeps (:func:`_kept_rows`): built on
-        first use and kept on the rate, read-only, for every later solve."""
-        a, w, _ = _fb_table(self)
+        """(a, w) of the rows of the f_B table (:func:`_fb_table`) that every
+        sum over it keeps (:func:`_kept_rows`): built on first use and kept
+        on the rate, read-only, for every later solve and derivative."""
+        a, w = _fb_table(self)
         keep = _kept_rows(w)
-        arrays = (a, w, a[keep], w[keep])
+        arrays = (a[keep], w[keep])
         for x in arrays:
             x.setflags(write=False)
         return arrays
@@ -545,9 +546,8 @@ def _cumulative(f: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _fb_table(B, ages: Sequence[float] = ()):
-    """Quadrature table of the division-age law: nodes a and weights (w, s)
-    with  w @ g(a) = int f_B g  (terminal atom included)  and
-    s @ g(a) = int_0^inf S g,  both truncated at B.cutoff(TAIL_EPS).
+    """Quadrature table of the division-age law: nodes a and weights w with
+    w @ g(a) = int f_B g (terminal atom included), cut at B.cutoff(TAIL_EPS).
 
     Panels are graded toward 0 and toward the onset of the support and cut
     at the kinks of B; between kinks f_B is smooth, so the kinks of a
@@ -563,22 +563,20 @@ def _fb_table(B, ages: Sequence[float] = ()):
     a, g = _gl_on(edges[:-1, None], edges[1:, None])
     a, g = a.ravel(), g.ravel()
     w = g * B.density(a)
-    s = g * B.survival(a)
     atom = float(B.atom_mass)
     if atom > 0.0:
         a = np.append(a, B.support_end)
         w = np.append(w, atom)
-        s = np.append(s, 0.0)
-    return a, w, s
+    return a, w
 
 
 def _kept_rows(w: np.ndarray) -> np.ndarray:
-    """Mask of the f_B table rows with weights ``w`` that the resolvent
-    keeps: all but the lightest, dropped, the massless lag before the onset
-    first, as long as their weights sum to at most eps/2 of the total (eps
-    the float64 machine epsilon).  Row i adds at most 2 w_i to H, so H
-    moves by at most eps * sum(w) at every lambda >= 0: less than one ulp
-    of H(0) = 2 sum(w)."""
+    """Mask of the f_B table rows with weights ``w`` that the rate keeps
+    (``_DivisionRate._fb``): all but the lightest, dropped, the massless lag
+    before the onset first, as long as their weights sum to at most eps/2
+    of the total (eps the float64 machine epsilon).  Row i adds at most
+    2 w_i to H, so H moves by at most eps * sum(w) at every lambda >= 0:
+    less than one ulp of H(0) = 2 sum(w)."""
     order = np.argsort(w)
     light = np.searchsorted(np.cumsum(w[order]), 0.5 * np.finfo(np.float64).eps * w.sum(), side="right")
     keep = np.ones(w.size, dtype=bool)
@@ -586,48 +584,52 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _resolvent_factory(B, law) -> Callable[[float], tuple]:
-    """lambda -> (H(lambda), H'(lambda)) with H(lambda) = 2 iint
-    exp(-lambda a / v) f_B(a) rho(v) dv da, one weighted sum over the kept
-    rows of the f_B table (:func:`_kept_rows`), built once and read from
-    the rate, and the rate nodes per evaluation; the slope -2 iint (a / v)
-    exp(-lambda a / v) f_B rho sums the same exponentials with the weights
-    of rho over v and those of f_B times a.  At lambda = 0 every
-    exponential is 1, and both come from the weight sums alone.
+def _exp_sums(rows, cols, row_w, col_w) -> Callable[[float], tuple]:
+    """lambda -> the K sums  sum_i row_w[k, i] sum_j col_w[k, j]
+    exp(lambda rows_i cols_j),  k < K: the module's one sum of exponentials
+    over an f_B table (its nodes the ``rows``).  The exponent table rows x
+    cols is built once; at lambda = 0 every exponential is 1, and each sum
+    is the product of its two weight sums.
 
     The exponentials are taken a block of rows at a time, in one scratch
     block of about ``_BLOCK`` elements reused by every evaluation: a fresh
     array per evaluation costs more in page faults than the exponentials
-    themselves, and a table-sized one as much memory as ``rate``.  Each
-    row's sums over the rate nodes, and the sums over the rows, are taken
-    in the same order whatever the block size, so H and H' do not depend
-    on it."""
-    nodes, weights = law.quadrature()
-    a, w = B._fb[2:]
-    over_v = -weights / nodes
-    row_w = np.stack([w, w * a])  # the rows' weights in H and in H'
-    at_zero = (2.0 * float(w.sum()) * float(weights.sum()), 2.0 * float(row_w[1].sum()) * float(over_v.sum()))
-    rate = np.multiply.outer(a, -1.0 / nodes)
-    n, rows = w.size, max(1, _BLOCK // nodes.size)
-    blk = np.empty((min(rows, n), nodes.size))
-    per_row = np.empty((2, n))
+    themselves, and a table-sized one as much memory as the exponent table.
+    Each row's sums over the columns, and the sums over the rows, are taken
+    in the same order whatever the block size, so no sum depends on it."""
+    row_w, col_w = np.asarray(row_w, dtype=float), np.asarray(col_w, dtype=float)
+    at_zero = tuple((row_w.sum(axis=1) * col_w.sum(axis=1)).tolist())
+    table = np.multiply.outer(rows, cols)
+    n, step = len(table), max(1, _BLOCK // table.shape[1])
+    blk = np.empty((min(step, n), table.shape[1]))
+    per_row = np.empty(row_w.shape)
 
-    def H(lam: float) -> tuple:
+    def sums(lam: float) -> tuple:
         if lam == 0.0:
             return at_zero
-        for i in range(0, n, rows):
-            part = blk[: min(rows, n - i)]
-            np.multiply(rate[i : i + rows], lam, out=part)
+        for i in range(0, n, step):
+            part = blk[: min(step, n - i)]
+            np.multiply(table[i : i + step], lam, out=part)
             np.exp(part, out=part)
-            np.einsum("ij,j->i", part, weights, out=per_row[0, i : i + rows])
-            np.einsum("ij,j->i", part, over_v, out=per_row[1, i : i + rows])
+            for out, w in zip(per_row, col_w):
+                np.einsum("ij,j->i", part, w, out=out[i : i + step])
         # a pairwise sum over the rows: an einsum's running sum would leave
         # ~1e-15 of rounding noise in H on a table of 20 000 rows
         np.multiply(per_row, row_w, out=per_row)
-        h, slope = per_row.sum(axis=1)
-        return 2.0 * float(h), 2.0 * float(slope)
+        return tuple(per_row.sum(axis=1).tolist())
 
-    return H
+    return sums
+
+
+def _resolvent_factory(B, law) -> Callable[[float], tuple]:
+    """lambda -> (H(lambda), H'(lambda)) with H(lambda) = 2 iint
+    exp(-lambda a / v) f_B(a) rho(v) dv da over the rate's kept f_B table
+    and the rate nodes (:func:`_exp_sums`); the slope -2 iint (a / v)
+    exp(-lambda a / v) f_B rho sums the same exponentials with the weights
+    of rho over v and those of f_B times a."""
+    nodes, weights = law.quadrature()
+    a, w = B._fb
+    return _exp_sums(a, -1.0 / nodes, (2.0 * w, 2.0 * w * a), (weights, -weights / nodes))
 
 
 def malthus_reference(B, v_bar: float, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
@@ -765,9 +767,10 @@ class EigenPair:
 def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> EigenPair:
     """Evaluate the explicit eigenvectors on a user grid.
 
-    Requires a rate law with a density, a window law (Dirac and atom
-    mixtures are rejected), and a division rate whose age law has no
-    terminal atom.
+    The normalizations come from the resolvent at its root lambda:
+    kappa = 2 lambda and kappa' = -1 / (lambda H'(lambda)).  Requires a
+    rate law with a density, a window law (Dirac and atom mixtures are
+    rejected), and a division rate whose age law has no terminal atom.
     """
     if not isinstance(rho, _Window):
         raise ValueError("eigenvectors require a rate law with a density")
@@ -785,16 +788,14 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
     if np.any(S_a < 1e-250):
         raise ValueError("grid extends past representable survival")
 
-    lam = malthus_with_variability(B, rho, tol)
-    nodes, weights = rho.quadrature()
+    H = _resolvent_factory(B, rho)
+    lam = find_root_decreasing(H, 1.0, tol)
+    # 1 = kappa iint (rho/v) exp(-lam a/v) S = kappa (1 - H(lam)/2) / lam, as
+    # S' = -f_B, and 1 = kappa kappa' iint (rho/v) a exp(-lam a/v) f_B =
+    # -kappa kappa' H'(lam) / 2, where H(lam) = 1 at the root
+    kappa, kappa_prime = 2.0 * lam, -1.0 / (lam * H(lam)[1])
     ages, inverse = np.unique(a_nodes, return_inverse=True)
-    a_tab, w_tab, s_tab = _fb_table(B, ages)
-
-    # kappa:  1 = kappa * int rho(v)/v [int exp(-lam a/v) S(a) da] dv
-    # kappa': 1 = kappa kappa' int rho(v)/v [int s exp(-lam s/v) f_B(s) ds] dv
-    ker = np.einsum("ij,j->i", np.exp(np.multiply.outer(a_tab, -lam / nodes)), weights / nodes)
-    kappa = 1.0 / float(np.einsum("i,i->", s_tab, ker))
-    kappa_prime = 1.0 / (kappa * float(np.einsum("i,i,i->", w_tab, ker, a_tab)))
+    a_tab, w_tab = _fb_table(B, ages)
 
     expo = np.exp(np.multiply.outer(a_nodes, -lam / v_nodes))
     dens = rho.density(v_nodes)
@@ -841,11 +842,9 @@ def _lambda_and_slope(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) ->
     nodes, weights = fam.baseline.quadrature()
     m = fam.baseline.mean
     u = fam.alpha * (nodes - m) + m
-    a, w = B._fb[:2]
-    expo = np.exp(np.multiply.outer(a, -lam / u))
-    d1 = np.einsum("i,ij,j->", w * a, expo, weights / u)
-    d2 = np.einsum("i,ij,j->", w * a, expo, weights * (nodes - m) / (u * u)) * lam
-    return lam, float(d2 / d1)
+    a, w = B._fb
+    d1, d2 = _exp_sums(a, -1.0 / u, (w * a, w * a), (weights / u, weights * (nodes - m) / (u * u)))(lam)
+    return lam, lam * d2 / d1
 
 
 def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
@@ -861,10 +860,10 @@ def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
         return 0.0
     m = baseline.mean
     lam = malthus_reference(B, m, tol)
-    a, w = B._fb[:2]
+    a, w = B._fb
     sa = (lam / m) * a
-    we = w * np.exp(-sa)
-    return var * float(np.einsum("i,i->", we, sa * (sa - 2.0)) / np.einsum("i,i->", we, a / m)) / (m * m)
+    num, den = _exp_sums(a, [-1.0 / m], (w * sa * (sa - 2.0), w * a / m), [[1.0], [1.0]])(lam)
+    return var * (num / den) / (m * m)
 
 
 def sign_condition(B) -> str:

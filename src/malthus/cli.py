@@ -249,7 +249,12 @@ def _cmd_age_curve(args) -> int:
 
 def _cmd_age_perturb(args) -> int:
     with _config_errors():
-        B = PowerLagRate(args.beta, args.lag) if args.b_const is None else ConstantRate(args.b_const)
+        if args.b_const is None:
+            B = PowerLagRate(args.beta, 1.0 if args.lag is None else args.lag)
+        elif args.lag is not None:
+            raise ConfigError("--lag sets the onset of the power-lag rate; --b-const takes none")
+        else:
+            B = ConstantRate(args.b_const)
         baseline = _parse_piece("--baseline", args.baseline, _LAWS)
         families = [AlphaFamily(baseline, alpha) for alpha in sorted(set(args.alphas) - {0.0})]
     lam0 = malthus_reference(B, baseline.mean)
@@ -375,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = q.add_mutually_exclusive_group()
     g.add_argument("--b-const", type=float, default=None, dest="b_const")
     g.add_argument("--beta", type=float, default=2.0)
-    q.add_argument("--lag", type=float, default=1.0)
+    q.add_argument("--lag", type=float, help="onset age of the --beta rate (default 1.0); an error with --b-const")
     q.add_argument("--alphas", type=float, nargs="+", required=True)
     add_baseline_flag(q)
     q.add_argument("--out", required=True)

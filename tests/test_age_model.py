@@ -205,7 +205,7 @@ def test_fractional_power_lag_matches_adaptive_quadrature():
 def test_resolvent_pruning_moves_h_by_at_most_eps(B, law):
     # the unpruned resolvent, every row of the f_B table, against the rows
     # the resolvent keeps; the dropped rows' share of H is summed exactly
-    a, w, _ = age_model._fb_table(B)
+    a, w = age_model._fb_table(B)
     nodes, weights = law.quadrature()
     rate = np.multiply.outer(a, -1.0 / nodes)
 
@@ -230,7 +230,7 @@ def blockwise_pair(B, law, lams):
     pass over the rows: the exponentials weighted by rho, and by rho / v
     for the slope, then the rows by w and by w a, in a pairwise sum."""
     nodes, weights = law.quadrature()
-    a, w, _ = age_model._fb_table(B)
+    a, w = age_model._fb_table(B)
     keep = age_model._kept_rows(w)
     a, w = a[keep], w[keep]
     rate = np.multiply.outer(a, -1.0 / nodes)
@@ -252,9 +252,13 @@ def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
         assert age_model._kept_rows(age_model._fb_table(B)[1]).sum() > 4 * 4096 // law_.quadrature()[0].size
 
     def solves():
+        # every caller of the one evaluator, on fresh rates
         H = [[age_model._resolvent_factory(B, law)(x) for x in lams] for B, law in cases]
         roots = [malthus_with_variability(B, law) for B, law in cases[:2]]
-        return H, roots + [malthus_reference(witness_rate(), 1.0)]
+        rates = [witness_rate(), PowerLagRate(0.25, 1.0)]
+        derivatives = [(dlambda_dalpha(B, AlphaFamily(tg, 0.5)), d2lambda_at_zero(B, tg)) for B in rates]
+        pair = eigen_pair(PowerLagRate(0.25, 1.0), law, np.linspace(0.0, 4.0, 9), np.linspace(0.1, 1.9, 7))
+        return H, roots + [malthus_reference(witness_rate(), 1.0)], derivatives, (pair.kappa, pair.kappa_prime)
 
     default = solves()
     for got, (B, law_) in zip(default[0], cases):
@@ -284,7 +288,7 @@ def test_f_b_table_is_built_once_per_rate(tg, monkeypatch):
 def test_kept_f_b_table_is_read_only():
     B = witness_rate()
     malthus_reference(B, 1.0)
-    assert len(B._fb) == 4
+    assert len(B._fb) == 2
     for x in B._fb:
         assert not x.flags.writeable
         with pytest.raises(ValueError):
@@ -526,6 +530,16 @@ def test_dlambda_matches_central_difference(tg):
         assert abs(d - (lp - lm) / (2.0 * h)) < 1e-5
 
 
+@pytest.mark.parametrize("b, v_bar, c, alpha", [(1.0, 1.0, 0.5, 0.8), (2.0, 0.7, 0.3, 0.5), (0.6, 1.5, 0.9, 0.3),
+                                                 (1.3, 1.0, 0.5, 1.0)])
+def test_dlambda_matches_the_two_point_closed_form(b, v_bar, c, alpha):
+    # constant rate b, rates v_bar (1 +- alpha c): lambda(alpha) = b v_bar
+    # sqrt(1 - alpha^2 c^2), so dlambda/dalpha = -b v_bar alpha c^2 / sqrt(...)
+    base = DiscreteMixture([(v_bar * (1.0 - c), 0.5), (v_bar * (1.0 + c), 0.5)])
+    exact = -b * v_bar * alpha * c * c / math.sqrt(1.0 - (alpha * c) ** 2)
+    assert abs(dlambda_dalpha(ConstantRate(b), AlphaFamily(base, alpha)) / exact - 1.0) <= 2e-14
+
+
 def test_dlambda_vanishes_as_alpha_to_zero(tg):
     d = dlambda_dalpha(ConstantRate(1.0), AlphaFamily(tg, 1e-4))
     assert abs(d) < 1e-3
@@ -580,6 +594,28 @@ def test_eigen_adjoint_ode_residual_shrinks():
     r_fine = residual(600)
     assert r_fine < r_coarse / 2.5
     assert r_fine < 1e-3
+
+
+@pytest.mark.parametrize("b, v1, v2", [(1.0, 0.4, 1.6), (2.5, 0.1, 1.9), (0.5, 0.8, 1.2), (1.3, 0.5, 3.0)])
+def test_eigen_normalizations_match_the_uniform_closed_form(b, v1, v2):
+    # constant rate b, rates uniform on [v1, v2]: H(lam) = (2 / D) int bv /
+    # (bv + lam) dv in closed form, D = v2 - v1; kappa = 2 lam and
+    # kappa' = -1 / (lam H'(lam)) at its root
+    D = v2 - v1
+
+    def H(lam):
+        return 2.0 / D * (D - lam / b * math.log((b * v2 + lam) / (b * v1 + lam)))
+
+    def slope(lam):
+        def F(v):
+            return math.log(b * v + lam) + lam / (b * v + lam)
+
+        return -2.0 / (b * D) * (F(v2) - F(v1))
+
+    lam = brentq(lambda x: H(x) - 1.0, 0.0, b * v2, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    pair = eigen_pair(ConstantRate(b), UniformLaw(v1, v2), np.linspace(0.0, 4.0, 9), np.linspace(v1, v2, 5))
+    assert abs(pair.kappa / (2.0 * lam) - 1.0) <= 1e-14
+    assert abs(pair.kappa_prime / (-1.0 / (lam * slope(lam))) - 1.0) <= 1e-14
 
 
 def test_eigen_rejects_degenerate_laws():

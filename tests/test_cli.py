@@ -138,6 +138,24 @@ def test_age_perturb_rows(tmp_path):
         assert float(r["dlambda_dalpha"]) < 0.0
 
 
+def test_age_perturb_reads_lag_only_with_beta(tmp_path, capsys):
+    # --lag is the onset of the --beta rate; a constant rate has none, so a
+    # given --lag exits 2 instead of being ignored
+    out = tmp_path / "x.csv"
+    for lag in ("3", "-3", "1"):
+        assert main(["age-perturb", "--b-const", "1.0", "--lag", lag, "--alphas", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --lag")
+    assert not out.exists()
+    # under --beta an omitted --lag means 1.0, as the help says
+    written = []
+    for lag in ([], ["--lag", "1"], ["--lag", "2"]):
+        assert main(["age-perturb", "--beta", "2", *lag, "--alphas", "0.5", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] != written[2]
+    assert main(["age-perturb", "--help"]) == 0
+    assert "(default 1.0)" in " ".join(capsys.readouterr().out.split())
+
+
 # --- size-model commands ---------------------------------------------------------
 
 
