@@ -13,6 +13,7 @@ evaluation order or thread count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -27,7 +28,6 @@ __all__ = [
     "integrate",
     "find_root_decreasing",
     "RngStream",
-    "mix64",
     "uniforms_at",
     "open_uniforms_at",
     "cell_base",
@@ -253,8 +253,9 @@ def mix64(z):
 
 
 def _stream_base(seed: int, stream_index: int) -> np.uint64:
-    b = mix64(_U64(seed % (1 << 64)) + _GOLD)
-    return _U64(mix64(b ^ mix64(_U64(stream_index % (1 << 64)) ^ _K_SEED)))
+    with np.errstate(over="ignore"):
+        b = mix64(_U64(seed) + _GOLD)
+    return _U64(mix64(b ^ mix64(_U64(stream_index) ^ _K_SEED)))
 
 
 def cell_base(base, keys):
@@ -291,10 +292,12 @@ class RngStream:
     __slots__ = ("seed", "stream_index", "_base")
 
     def __init__(self, seed: int, stream_index: int = 0):
-        if seed < 0 or stream_index < 0:
-            raise ValueError("seed and stream_index must be non-negative")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
+        # integers only, each below 2^64: a wider value would wrap onto
+        # another stream, and a float would be truncated
+        self.seed = operator.index(seed)
+        self.stream_index = operator.index(stream_index)
+        if not (0 <= self.seed < 1 << 64 and 0 <= self.stream_index < 1 << 64):
+            raise ValueError("seed and stream_index must lie in [0, 2^64)")
         self._base = _stream_base(self.seed, self.stream_index)
 
     @property

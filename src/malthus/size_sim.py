@@ -12,7 +12,8 @@ frontier, so each array pass acts on the cells of every tree, until the
 next generation would pass ``_GROUP_FRONTIER`` (2^16) cells; then each
 tree continues alone.  Since every draw is keyed per cell, a tree's cells
 and measures do not depend on the group, and a single tree is a group of
-one.
+one.  The measures keep only each generation's living sizes, split by
+tree as the generation arrives, and sum a tree's once it is complete.
 
 The division hazard B(x) = (x - x0)^beta may act per unit size (the
 accumulated-size accounting) or per unit time; in both cases the division
@@ -50,7 +51,6 @@ __all__ = [
     "sample_division_size",
     "lifetime",
     "simulate_tree",
-    "tree_measures",
     "group_measures",
     "biomass_at",
 ]
@@ -698,31 +698,22 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
     return TreeResult(config, rng.seed, rng.stream_index, np.concatenate(parent), np.concatenate(bit), *columns)
 
 
-def tree_measures(config: SimConfig, rng: RngStream, times) -> list:
-    """(biomass, living count) at each of ``times``, for the tree that
-    :func:`simulate_tree` would return, without storing it.
+def group_measures(config: SimConfig, streams, times) -> list:
+    """(biomass, living count) at each of ``times`` for the tree that
+    :func:`simulate_tree` would return on each of ``streams``, without
+    storing it; the trees are expanded together as one group
+    (:func:`_generations`), and one stream gives one tree alone.
 
     Each generation is masked as :meth:`TreeResult.living_mask` does and
-    only its living sizes are kept; they are summed once, in the stored
-    tree's breadth-first order, so the values equal :func:`biomass_at` and
-    :meth:`TreeResult.living_count` bit for bit.  A generation born wholly
-    after t holds no cell living at t and is skipped; at the horizon the
-    mask is ``t < d`` alone, since every stored cell is born before it.
-    """
-    return group_measures(config, [rng], times)[0]
-
-
-def group_measures(config: SimConfig, streams, times) -> list:
-    """:func:`tree_measures` of the tree on each of ``streams``, with the
-    trees expanded together as one group (:func:`_generations`).
-
-    The living sizes of a generation are kept with its trees.  Trees below
-    the smallest index in a generation have no cell left to come, and are
-    summed then.  The sizes of the generations the trees shared are first
-    split by a stable sort on the tree index, which keeps each tree's own
-    breadth-first order.  So every value equals that of the tree expanded
-    alone bit for bit, and a tree that continues alone is summed as soon
-    as it is complete.
+    only its living sizes are kept, split by tree as the generation
+    arrives: a stable sort on the tree index keeps each tree's own
+    breadth-first order.  A tree's sizes are summed once, when a
+    generation holds only trees past its index, after which no generation
+    holds its cells; so its values equal :func:`biomass_at` and
+    :meth:`TreeResult.living_count` of the tree alone bit for bit.  A
+    generation born wholly after t holds no cell living at t and is
+    skipped; at the horizon the mask is ``t < d`` alone, since every
+    stored cell is born before it.
     """
     times = [float(t) for t in times]
     for t in times:
@@ -730,30 +721,21 @@ def group_measures(config: SimConfig, streams, times) -> list:
     m = len(streams)
     biomass = np.zeros((m, len(times)))
     counts = np.zeros((m, len(times)), dtype=np.int64)
-    # per time, (trees, living sizes) of the generations not yet summed
-    held = [[] for _ in times]
+    # per tree and per time, the tree's living sizes, one piece a generation;
+    # None once the tree is summed
+    held = [[[] for _ in times] for _ in range(m)]
     done = 0  # the trees below this index are summed
 
     def finish(hi):
-        for j, pairs in enumerate(held):
-            shared = [k for k, (owner, _) in enumerate(pairs) if np.ndim(owner)]
-            if shared:
-                # one block, between the pieces of earlier splits and the
-                # generations of trees alone
-                lo, up = shared[0], shared[-1] + 1
-                owner = np.concatenate([o for o, _ in pairs[lo:up]])
-                sizes = np.concatenate([z for _, z in pairs[lo:up]])[np.argsort(owner, kind="stable")]
-                n = np.bincount(owner, minlength=m)
-                ends = np.cumsum(n)
-                pairs[lo:up] = [(i, sizes[ends[i] - n[i]:ends[i]]) for i in range(done, m)]
-            for i in range(done, hi):
-                biomass[i, j] = np.sum(np.concatenate([z for o, z in pairs if o == i]))
-            held[j] = [p for p in pairs if p[0] >= hi]
+        for i in range(done, hi):
+            biomass[i] = [np.sum(np.concatenate(p)) for p in held[i]]
+            held[i] = None
 
     for tree, b, _, xi, tau, d, _ in _generations(config, [s.base for s in streams]):
         shared = np.ndim(tree) > 0
         first = int(tree.min()) if shared else tree
         if first > done:
+            # no later generation holds a cell of these trees
             finish(first)
             done = first
         born = b.min()
@@ -764,11 +746,15 @@ def group_measures(config: SimConfig, streams, times) -> list:
             sizes = config.growth.size_at(xi[living], tau[living], t - b[living])
             if shared:
                 owner = tree[living]
-                counts[:, j] += np.bincount(owner, minlength=m)
+                n = np.bincount(owner, minlength=m)
+                counts[:, j] += n
+                sizes = sizes[np.argsort(owner, kind="stable")]
+                ends = [0, *np.cumsum(n).tolist()]
+                for i in range(done, m):
+                    held[i][j].append(sizes[ends[i]:ends[i + 1]])
             else:
-                owner = tree
                 counts[tree, j] += living.size
-            held[j].append((owner, sizes))
+                held[tree][j].append(sizes)
     finish(m)
     return [[(float(z), int(c)) for z, c in zip(zs, cs)] for zs, cs in zip(biomass, counts)]
 

@@ -4,8 +4,9 @@ Recorded at commit c489043, before the frontier expansion's per-cell array
 passes were cut; the expansion must keep reproducing them bit for bit.
 Tree ``i`` of :func:`grid` runs on ``RngStream(SEED, i)``.
 ``MEASURES`` holds the repr-exact (biomass, living count) pairs that
-``tree_measures`` returns at ``TIMES``; ``COLUMNS_SHA256`` hashes the raw
-bytes of the eight ``simulate_tree`` columns, tree after tree.
+``group_measures`` returns at ``TIMES`` for the tree alone (a group of
+one); ``COLUMNS_SHA256`` hashes the raw bytes of the eight
+``simulate_tree`` columns, tree after tree.
 """
 import itertools
 

@@ -319,6 +319,28 @@ def test_malformed_numeric_flags_are_config_errors(tmp_path, monkeypatch, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree-dump", "--seed", "18446744073709551617"],
+        ["tree-dump", "--stream", "18446744073709551616"],
+        ["estimator-compare", "--horizons", "4", "--m", "2", "--seed", "18446744073709551617"],
+        ["size-mc", "--set", "rows=0.4:4", "--set", "M=2", "--set", "seed=18446744073709551617"],
+    ],
+    ids=["dump-seed", "dump-stream", "cmp-seed", "mc-seed"],
+)
+def test_seeds_and_streams_past_2_64_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    # 2^64 + 1 would run the trees of seed 1, and 2^64 those of stream 0
+    def refuse(*args, **kw):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr("malthus.estimator.group_measures", refuse)
+    monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_size_mc_alpha_zero_first_row_keeps_baseline(tmp_path):
     # the table's baseline is the configured law, not the first row's law
     out = tmp_path / "t.csv"

@@ -27,7 +27,6 @@ from malthus.size_sim import (
     UniformAsymmetric,
     biomass_at,
     simulate_tree,
-    tree_measures,
 )
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
@@ -253,7 +252,7 @@ def test_group_failure_names_the_first_tree_that_fails_alone(monkeypatch, case, 
     alone = []
     for k in range(5):
         try:
-            tree_measures(cfg, RngStream(seed, k), [cfg.horizon])
+            size_sim.group_measures(cfg, [RngStream(seed, k)], [cfg.horizon])
         except RuntimeError as e:
             alone.append((k, e))
     k, first = alone[0]

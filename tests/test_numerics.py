@@ -316,6 +316,24 @@ def test_substream_keys_decorrelate():
     assert not np.array_equal(s0, s1)
 
 
+def test_stream_takes_integers_below_2_64():
+    # a wider value would wrap onto a narrower stream, and a float would
+    # be truncated to one
+    top = RngStream(2**64 - 1, 2**64 - 1)
+    assert (top.seed, top.stream_index) == (2**64 - 1, 2**64 - 1)
+    assert RngStream(np.int64(5), np.uint64(2)).base == RngStream(5, 2).base
+    for bad in (2**64, 2**64 + 1, -1):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            RngStream(bad)
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            RngStream(1, bad)
+    for bad in (1.5, 1.0):
+        with pytest.raises(TypeError):
+            RngStream(bad)
+        with pytest.raises(TypeError):
+            RngStream(1, bad)
+
+
 def test_counter_indexing_matches_stream():
     # a (cells x counters) block holds each cell's draws at those counters
     bases = cell_base(RngStream(77, 3).base, np.arange(4, dtype=np.uint64))

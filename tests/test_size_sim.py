@@ -32,11 +32,15 @@ from malthus.size_sim import (
     lifetime,
     sample_division_size,
     simulate_tree,
-    tree_measures,
 )
 from malthus.size_sim import _DOM_RATE, _DOM_SIZE, _child_rates, _division_sizes, _draw_rates, _inverse_from
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
+
+
+def measures_alone(cfg, stream, times):
+    """The measures of the tree on ``stream``, expanded as a group of one."""
+    return size_sim.group_measures(cfg, [stream], times)[0]
 
 
 def cell_bases(seed, stream, n):
@@ -597,7 +601,7 @@ def test_streamed_measures_equal_stored_tree(cfg, seed, pick):
     times = [0.0, cfg.horizon, 0.5 * cfg.horizon]
     if divided.size:
         times.append(float(divided[pick % divided.size]))  # daughters alive, mother not
-    got = tree_measures(cfg, RngStream(seed, 3), times)
+    got = measures_alone(cfg, RngStream(seed, 3), times)
     assert got == [(biomass_at(tree, t), tree.living_count(t)) for t in times]
 
 
@@ -611,7 +615,7 @@ def test_trees_match_golden_values():
         tree = simulate_tree(cfg, RngStream(golden_trees.SEED, i))
         for name in golden_trees.COLUMNS:
             digest.update(getattr(tree, name).tobytes())
-        got[label] = repr(tuple(tree_measures(cfg, RngStream(golden_trees.SEED, i), golden_trees.TIMES)))
+        got[label] = repr(tuple(measures_alone(cfg, RngStream(golden_trees.SEED, i), golden_trees.TIMES)))
     assert got == {label: repr(v) for label, v in golden_trees.MEASURES.items()}
     assert digest.hexdigest() == golden_trees.COLUMNS_SHA256
 
@@ -620,7 +624,7 @@ def test_streamed_measures_reject_times_past_the_tree():
     cfg = make_config(horizon=4.0)
     for t in (-0.5, 4.5):
         with pytest.raises(ValueError, match="horizon"):
-            tree_measures(cfg, RngStream(1, 0), [1.0, t])
+            measures_alone(cfg, RngStream(1, 0), [1.0, t])
         with pytest.raises(ValueError, match="horizon"):
             simulate_tree(cfg, RngStream(1, 0)).living_mask(t)
 
@@ -633,7 +637,7 @@ def test_measures_reject_nan_times():
         lambda: tree.living_mask(math.nan),
         lambda: tree.living_count(math.nan),
         lambda: tree.sizes_at(math.nan),
-        lambda: tree_measures(cfg, RngStream(1, 0), [math.nan, 4.0]),
+        lambda: measures_alone(cfg, RngStream(1, 0), [math.nan, 4.0]),
         lambda: size_sim.group_measures(cfg, [RngStream(1, 0), RngStream(1, 1)], [2.0, math.nan]),
     ]
     for call in calls:
@@ -660,7 +664,7 @@ def test_streamed_measures_hold_frontier_not_tree():
     del tree
     tracemalloc.start()
     try:
-        tree_measures(cfg, RngStream(3, 0), times)
+        measures_alone(cfg, RngStream(3, 0), times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -683,7 +687,38 @@ def test_group_measures_equal_trees_alone(split, cfg, seed, streams, bound):
         if split:
             mp.setattr(size_sim, "_GROUP_FRONTIER", bound)
         got = size_sim.group_measures(cfg, [RngStream(seed, k) for k in streams], times)
-    assert got == [tree_measures(cfg, RngStream(seed, k), times) for k in streams]
+    assert got == [measures_alone(cfg, RngStream(seed, k), times) for k in streams]
+
+
+def test_group_measures_equal_trees_alone_past_an_early_finish(monkeypatch):
+    # the first tree completes while the group still shares its frontier,
+    # and the group splits later: the first tree is summed first, then
+    # each other tree from its shared and its own generations
+    monkeypatch.setattr(size_sim, "_GROUP_FRONTIER", 20)
+    cfg = make_config(alpha=0.9, horizon=4.0, root_rate=DrawnFromKernel())
+    streams = [RngStream(1, k) for k in (59, 53, 52)]
+    trees = [tree for tree, *_ in size_sim._generations(cfg, [s.base for s in streams])]
+    shared = [tree for tree in trees if np.ndim(tree)]
+    assert 0 in shared[0] and 0 not in shared[-1]  # complete while shared
+    assert len(shared) < len(trees)  # and split later
+    times = [0.0, 0.5 * cfg.horizon, cfg.horizon]
+    got = size_sim.group_measures(cfg, streams, times)
+    assert got == [measures_alone(cfg, s, times) for s in streams]
+    for measures, stream in zip(got, streams):
+        tree = simulate_tree(cfg, stream)
+        assert measures == [(biomass_at(tree, t), tree.living_count(t)) for t in times]
+
+
+def test_group_measures_keep_a_tree_with_no_living_cell():
+    # at a horizon equal to its root's division time, a tree is one leaf
+    # that is not living at the horizon: (0.0, 0) there, also in a group
+    cfg = make_config(horizon=float(simulate_tree(make_config(), RngStream(2, 0)).d[0]))
+    streams = [RngStream(2, k) for k in (0, 1)]
+    trees = [simulate_tree(cfg, s) for s in streams]
+    assert len(trees[0]) == 1 and trees[0].living_count(cfg.horizon) == 0
+    times = [0.5 * cfg.horizon, cfg.horizon]
+    got = size_sim.group_measures(cfg, streams, times)
+    assert got == [[(biomass_at(tree, t), tree.living_count(t)) for t in times] for tree in trees]
 
 
 def test_group_generations_hold_each_tree_in_its_own_order(monkeypatch):
