@@ -900,13 +900,16 @@ def cv_curve(B, baseline, alphas: Sequence[float], tol: Tolerance = DEFAULT_ROOT
     """lambda as a function of the contracted CV, sorted by CV.
 
     Includes the CV = 0 anchor (the reference exponent at the baseline
-    mean).  Solver failures are recorded per row instead of raised.
+    mean), which an alpha of 0 names.  Solver failures are recorded per
+    row instead of raised.
     """
     if baseline.is_degenerate:
         raise ValueError("baseline must be non-degenerate")
     rows = [CurveRow(0.0, 0.0, malthus_reference(B, baseline.mean, tol))]
     for alpha in alphas:
         alpha = float(alpha)
+        if alpha == 0.0:
+            continue
         try:
             fam = AlphaFamily(baseline, alpha)
             lam = malthus_with_variability(B, fam.law(), tol)

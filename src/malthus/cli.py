@@ -37,7 +37,7 @@ from .age_model import (
     d2lambda_at_zero,
     malthus_reference,
 )
-from .estimator import _check_run, _worker_count, cv_table, estimator_sd_comparison
+from .estimator import _check_run, cv_table, estimator_sd_comparison
 from .numerics import RngStream
 from .size_sim import (
     AutoRegressive,
@@ -281,15 +281,13 @@ def _cmd_size_mc(args) -> int:
         rows_spec = _parse_rows(items["rows"])
         m_trees = _number("M", items["M"], int)
         seed = _number("seed", items["seed"], int)
-        RngStream(seed)  # validates the seed
         estimator = items["estimator"]
-        _check_run(m_trees, estimator)
+        _check_run(m_trees, seed, estimator)
         # validate every row's config before simulating anything
         for alpha, T in rows_spec:
             _sim_config(items, T, alpha)
         # cv_table contracts the uncontracted baseline row by row
         base = _sim_config(items, rows_spec[0][1])
-        _worker_count()
     table = cv_table(base, rows_spec, m_trees, seed, estimator)
     out_rows = []
     for row in table:
@@ -320,9 +318,7 @@ def _cmd_estimator_compare(args) -> int:
         if not all(T > 0.0 and math.isfinite(T) for T in args.horizons):
             raise ConfigError("--horizons must be positive and finite")
         cfg = _sim_config(items, max(args.horizons), args.alpha)
-        RngStream(args.seed)  # validates the seed
-        _check_run(args.m)
-        _worker_count()
+        _check_run(args.m, args.seed)
     rows = estimator_sd_comparison(cfg, args.horizons, args.m, args.seed)
     _write_csv(args.out, ["T", "sd_biomass", "sd_count"], rows)
     return 0

@@ -92,8 +92,14 @@ def malthus_hat_count(tree: TreeResult, T: Optional[float] = None, t1: Optional[
     return _log_ratio(tree, T, t1, lambda tr, t: tr.living_count(t))
 
 
-def _worker_count() -> int:
-    """Worker processes from MALTHUS_THREADS (unset or blank: 1)."""
+def _check_run(m_trees: int, seed: int, estimator: str = "biomass") -> int:
+    """Check the tree count, seed and statistic of a Monte Carlo run before
+    any tree runs; return its workers, MALTHUS_THREADS (unset or blank: 1)."""
+    if m_trees < 2:
+        raise ValueError(f"need at least 2 trees, got {m_trees!r}")
+    RngStream(seed)  # the seed's rule lives there
+    if estimator not in ("biomass", "count"):
+        raise ValueError(f"estimator must be 'biomass' or 'count', got {estimator!r}")
     env = os.environ.get("MALTHUS_THREADS", "").strip()
     if not env:
         return 1
@@ -106,18 +112,11 @@ def _worker_count() -> int:
     return n
 
 
-def _check_run(m_trees: int, estimator: str = "biomass") -> None:
-    """The tree count and statistic every Monte Carlo entry point needs."""
-    if m_trees < 2:
-        raise ValueError(f"need at least 2 trees, got {m_trees!r}")
-    if estimator not in ("biomass", "count"):
-        raise ValueError(f"estimator must be 'biomass' or 'count', got {estimator!r}")
-
-
 def _trees_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, trees: range) -> list:
-    """Expand the trees on streams ``offset + m``, m in ``trees``, as one
-    group into their measures; return, per tree and per horizon, the
-    requested statistics, and the living count at the config's horizon.
+    """Expand the trees on streams ``offset + m``, m in ``trees`` (a group
+    of :func:`_tree_runner`), into their measures; return, per tree and
+    per horizon, the requested statistics, and the living count at the
+    config's horizon.
 
     If the group fails, its trees rerun one at a time, so the error names
     the stream of the first tree that fails alone.
@@ -145,22 +144,23 @@ def _trees_job(config: SimConfig, seed: int, offset: int, estimators: tuple, hor
 @contextlib.contextmanager
 def _tree_runner(workers: int):
     """A function ``run(job, m_count)`` that maps ``job`` over groups of
-    trees 0..m_count-1 and returns its rows in tree order: one group of
-    all of them at one worker, else groups of max(1, m_count // (4 k))
-    trees on one pool of k worker processes, open for the block."""
-    if workers <= 1:
-        yield lambda job, m_count: job(range(m_count))
-        return
-    # imported here: the pool's modules (multiprocessing, logging, socket,
-    # subprocess) add ~20 ms to every import of the package
-    from concurrent.futures import ProcessPoolExecutor
+    max(1, m_count // (4 k)) consecutive trees of 0..m_count-1 and returns
+    its rows in tree order: in this process at k = 1 worker, else on one
+    pool of k worker processes, open for the block."""
+    pool, mapper = contextlib.nullcontext(), map
+    if workers > 1:
+        # imported here: the pool's modules (multiprocessing, logging, socket,
+        # subprocess) add ~20 ms to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        mapper = pool.map
+    with pool:
 
         def run(job, m_count: int) -> list:
             chunk = max(1, m_count // (4 * workers))
             groups = [range(i, min(i + chunk, m_count)) for i in range(0, m_count, chunk)]
-            return [row for rows in pool.map(job, groups) for row in rows]
+            return [row for rows in mapper(job, groups) for row in rows]
 
         yield run
 
@@ -193,8 +193,8 @@ def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset
 def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "biomass") -> MalthusEstimate:
     """Simulate ``m_trees`` independent trees on streams (seed, 0..m-1) and
     aggregate the per-tree statistics."""
-    _check_run(m_trees, estimator)
-    with _tree_runner(_worker_count()) as run:
+    workers = _check_run(m_trees, seed, estimator)
+    with _tree_runner(workers) as run:
         return _estimate(config, m_trees, seed, estimator, 0, run)
 
 
@@ -222,12 +222,12 @@ def cv_table(
     is alpha times the baseline CV.  Row i runs on streams
     (seed, i*m .. i*m + m - 1), so the table is reproducible row-by-row.
     Failures are recorded in-row with their exception type; a malformed
-    tree count, estimator or MALTHUS_THREADS raises before any row runs.
+    tree count, seed, estimator or MALTHUS_THREADS raises before any row.
     """
-    _check_run(m_trees, estimator)
+    workers = _check_run(m_trees, seed, estimator)
     baseline = base.kernel.law
     out = []
-    with _tree_runner(_worker_count()) as run:
+    with _tree_runner(workers) as run:
         for i, (alpha, T) in enumerate(rows):
             alpha = float(alpha)
             cv = alpha * baseline.cv
@@ -251,12 +251,12 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     horizons = tuple(float(T) for T in horizons)
     if not horizons:
         raise ValueError("need at least one horizon")
-    _check_run(m_trees)
+    workers = _check_run(m_trees, seed)
     # expanded to the largest horizon, not the config's: a longer tree
     # would be measured where no statistic reads it
     config = replace(config, horizon=max(horizons))
     job = partial(_trees_job, config, seed, 0, ("biomass", "count"), horizons)
-    with _tree_runner(_worker_count()) as run:
+    with _tree_runner(workers) as run:
         rows = run(job, m_trees)
     arr = np.asarray([r[0] for r in rows])  # (m, len(horizons), 2)
     out = []

@@ -161,8 +161,7 @@ def find_root_decreasing(
     """Solve h(x) = target for h > 0, decreasing and log-convex on [0, inf).
 
     Precondition: ``h(x)`` returns the pair (h(x), h'(x)), with h > 0,
-    decreasing and log-convex on [0, inf), and ``target`` > 0.  ``tol`` may
-    be a plain number, read as the absolute residual tolerance.
+    decreasing and log-convex on [0, inf), and ``target`` > 0.
 
     Newton's method on log h - log target, started at x = 0.  log h is
     convex, so every tangent meets log target at or before the root: the
@@ -192,8 +191,6 @@ def find_root_decreasing(
     step is infinite), when ``max_iter`` Newton steps run out, or when the
     residual at the stop exceeds ``abs_tol``.
     """
-    if not isinstance(tol, Tolerance):
-        tol = Tolerance(abs_tol=float(tol))
     if not target > 0.0:
         raise ValueError("target must be positive")
 

@@ -611,6 +611,8 @@ def _generations(config: SimConfig, stream_bases) -> Iterator[tuple]:
     """
     stream_bases = np.asarray(stream_bases, dtype=np.uint64)
     m = stream_bases.size
+    if not m:
+        return
     keys = np.full(m, _ROOT_KEY)
     bases = cell_base(stream_bases, keys)
     if isinstance(config.root_rate, FixedRate):

@@ -697,6 +697,11 @@ def test_cv_curve_records_row_failures(tg):
         assert math.isnan(r.lam) and r.status.startswith("error: ValueError:")
 
 
+def test_cv_curve_alpha_zero_is_its_anchor(tg):
+    rows = cv_curve(PowerLagRate(2.0, 1.0), tg, [0.0, 0.5])
+    assert [(r.alpha, r.status) for r in rows] == [(0.0, "ok"), (0.5, "ok")]
+
+
 def test_cv_curve_rejects_degenerate_baseline():
     with pytest.raises(ValueError):
         cv_curve(ConstantRate(1.0), Dirac(1.0), [0.5])

@@ -202,6 +202,41 @@ def test_malformed_thread_count_raises_before_any_tree(monkeypatch, threads):
             call()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_malformed_seed_raises_before_any_tree(monkeypatch, seed):
+    # checked once per call, so it is never an in-row error naming a tree
+    def refuse(config, streams, times):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr(estimator, "group_measures", refuse)
+    base = make_config(alpha=1.0, horizon=5.0)
+    for call in (
+        lambda: cv_table(base, [(0.4, 5.0), (0.2, 4.0)], m_trees=3, seed=seed),
+        lambda: monte_carlo(base, m_trees=3, seed=seed),
+        lambda: estimator_sd_comparison(base, [4.0, 5.0], m_trees=3, seed=seed),
+    ):
+        with pytest.raises((ValueError, TypeError)) as got:
+            call()
+        assert "tree on stream" not in str(got.value)
+
+
+@pytest.mark.parametrize("threads, m_trees, groups", [("1", 8, [2] * 4), ("1", 40, [10] * 4), ("2", 40, [5] * 8)])
+def test_trees_run_in_groups_of_a_quarter_per_worker(tmp_path, monkeypatch, threads, m_trees, groups):
+    # max(1, m // (4 k)) consecutive trees a group at every worker count k;
+    # the calls are recorded in a file, which the pool's workers share
+    log = tmp_path / "groups"
+
+    def recording(config, streams, times):
+        with open(log, "a") as f:
+            f.write(f"{len(streams)}\n")
+        return size_sim.group_measures(config, streams, times)
+
+    monkeypatch.setattr(estimator, "group_measures", recording)
+    monkeypatch.setenv("MALTHUS_THREADS", threads)
+    monte_carlo(make_config(alpha=0.4, horizon=3.0), m_trees=m_trees, seed=3)
+    assert sorted(int(n) for n in log.read_text().split()) == groups
+
+
 def test_cv_table_alpha_zero_row_is_degenerate():
     base = make_config(alpha=1.0, horizon=5.0)
     [row] = cv_table(base, [(0.0, 5.0)], m_trees=3, seed=2)
@@ -233,15 +268,21 @@ def test_sd_comparison_expands_to_the_largest_horizon(monkeypatch):
 
     monkeypatch.setattr(estimator, "group_measures", recording)
     long = estimator_sd_comparison(make_config(alpha=0.4, horizon=12.0), horizons=(5.0, 7.0), m_trees=4, seed=3)
-    assert reached == [7.0]
+    assert reached == [7.0] * 4
     assert long == estimator_sd_comparison(make_config(alpha=0.4, horizon=7.0), horizons=(5.0, 7.0), m_trees=4, seed=3)
 
 
 @pytest.mark.parametrize("case", ["max_cells", "thinning"])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_group_failure_names_the_first_tree_that_fails_alone(monkeypatch, case, threads):
-    # at one worker the five trees are one group, at two they are groups
-    # of one: either way the error is the one of the first stream whose
+@pytest.mark.parametrize(
+    "threads, m_trees",
+    [("1", 5), ("2", 5), ("1", 8), ("2", 8), ("1", 12), ("2", 12)],
+    ids=["1", "2", "1-m8", "2-m8", "1-m12", "2-m12"],
+)
+def test_group_failure_names_the_first_tree_that_fails_alone(monkeypatch, case, threads, m_trees):
+    # groups of max(1, m // (4 k)) trees: of one for five trees, and at two
+    # workers; at one worker, stream 2 fails inside the group {2, 3} of
+    # eight trees and {0, 1, 2} of twelve, so the group's trees rerun
+    # alone.  Either way the error is the one of the first stream whose
     # tree fails alone, with its type and message
     if case == "max_cells":  # trees of 1989, 2499, 3023, 2043 and 2577 cells
         cfg, seed = dataclasses.replace(make_config(horizon=7.0), max_cells=2500), 9
@@ -259,7 +300,7 @@ def test_group_failure_names_the_first_tree_that_fails_alone(monkeypatch, case, 
     assert k == 2
     monkeypatch.setenv("MALTHUS_THREADS", threads)
     with pytest.raises(RuntimeError) as got:
-        monte_carlo(cfg, m_trees=5, seed=seed)
+        monte_carlo(cfg, m_trees=m_trees, seed=seed)
     assert type(got.value) is RuntimeError
     assert str(got.value) == f"tree on stream {k} failed: {first}"
 

@@ -721,6 +721,10 @@ def test_group_measures_keep_a_tree_with_no_living_cell():
     assert got == [[(biomass_at(tree, t), tree.living_count(t)) for t in times] for tree in trees]
 
 
+def test_group_measures_of_no_trees_are_empty():
+    assert size_sim.group_measures(make_config(), [], [1.0]) == []
+
+
 def test_group_generations_hold_each_tree_in_its_own_order(monkeypatch):
     # restricted to one tree, the shared generations and then the tree's
     # own are the columns of the tree expanded alone, byte for byte; once
