@@ -916,5 +916,5 @@ def cv_curve(B, baseline, alphas: Sequence[float], tol: Tolerance = DEFAULT_ROOT
             rows.append(CurveRow(alpha, fam.cv, lam))
         except (ValueError, RuntimeError) as e:  # recorded, not fatal
             rows.append(CurveRow(alpha, alpha * baseline.cv, math.nan, f"error: {type(e).__name__}: {e}"))
-    rows.sort(key=lambda r: r.cv)
+    rows.sort(key=lambda r: (math.isnan(r.cv), r.cv))
     return rows

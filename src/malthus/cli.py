@@ -315,6 +315,7 @@ def _cmd_size_mc(args) -> int:
 def _cmd_estimator_compare(args) -> int:
     items = _read_config(args.config, args.set, _MODEL_KEYS)
     with _config_errors():
+        # checked here too: the library's ValueError, raised outside _config_errors, would exit 1, not 2
         if not all(T > 0.0 and math.isfinite(T) for T in args.horizons):
             raise ConfigError("--horizons must be positive and finite")
         cfg = _sim_config(items, max(args.horizons), args.alpha)

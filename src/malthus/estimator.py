@@ -5,7 +5,7 @@ the living-cell count N_t) measured at T/2 and T, the statistic
 (2/T) ln(M_T / M_{T/2}) converges to the population growth exponent.
 Monte Carlo repetitions aggregate per-tree values into a mean, a sample
 standard deviation, and an empirical 95% interval chosen to contain at
-least 95% of the per-tree values.
+least 95% of the per-tree values; worker processes only measure trees.
 """
 from __future__ import annotations
 
@@ -112,41 +112,31 @@ def _check_run(m_trees: int, seed: int, estimator: str = "biomass") -> int:
     return n
 
 
-def _trees_job(config: SimConfig, seed: int, offset: int, estimators: tuple, horizons: tuple, trees: range) -> list:
-    """Expand the trees on streams ``offset + m``, m in ``trees`` (a group
-    of :func:`_tree_runner`), into their measures; return, per tree and
-    per horizon, the requested statistics, and the living count at the
-    config's horizon.
+def _trees_job(config: SimConfig, seed: int, offset: int, times: list, trees: range) -> list:
+    """The (biomass, living count) at each of ``times`` of the trees on
+    streams ``offset + m``, m in ``trees`` (a group of :func:`_tree_runner`).
 
     If the group fails, its trees rerun one at a time, so the error names
     the stream of the first tree that fails alone.
     """
     try:
-        pairs = [_measure_times(T, None, config.horizon) for T in horizons]
-        times = sorted({config.horizon, *(t for pair in pairs for t in pair)})
-        streams = [RngStream(seed, offset + m) for m in trees]
-        column = {"biomass": 0, "count": 1}
-        out = []
-        for measures in group_measures(config, streams, times):
-            at = dict(zip(times, measures))
-            stats = [[_rate(at[t1][column[e]], at[T][column[e]], T, t1) for e in estimators] for T, t1 in pairs]
-            out.append((stats, at[config.horizon][1]))
-        return out
+        return group_measures(config, [RngStream(seed, offset + m) for m in trees], times)
     except (ValueError, RuntimeError) as e:
         if len(trees) == 1:
             # named with its stream and kept in its category, which cv_table
             # records in-row; any other exception is a defect and propagates
             kind = ValueError if isinstance(e, ValueError) else RuntimeError
             raise kind(f"tree on stream {offset + trees[0]} failed: {e}") from e
-    return [row for m in trees for row in _trees_job(config, seed, offset, estimators, horizons, range(m, m + 1))]
+    return [row for m in trees for row in _trees_job(config, seed, offset, times, range(m, m + 1))]
 
 
 @contextlib.contextmanager
-def _tree_runner(workers: int):
-    """A function ``run(job, m_count)`` that maps ``job`` over groups of
-    max(1, m_count // (4 k)) consecutive trees of 0..m_count-1 and returns
-    its rows in tree order: in this process at k = 1 worker, else on one
-    pool of k worker processes, open for the block."""
+def _tree_runner(m_trees: int, seed: int, estimator: str = "biomass"):
+    """Check the run, then yield ``measure(config, offset, times)``: the
+    measures of the trees on streams offset..offset+m_trees-1 in tree order,
+    from :func:`_trees_job` on groups of max(1, m_trees // (4 k)) trees, in
+    this process at k = 1 worker, else on one pool of k workers."""
+    workers = _check_run(m_trees, seed, estimator)
     pool, mapper = contextlib.nullcontext(), map
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, logging, socket,
@@ -155,14 +145,22 @@ def _tree_runner(workers: int):
 
         pool = ProcessPoolExecutor(max_workers=workers)
         mapper = pool.map
+    chunk = max(1, m_trees // (4 * workers))
+    groups = [range(i, min(i + chunk, m_trees)) for i in range(0, m_trees, chunk)]
     with pool:
 
-        def run(job, m_count: int) -> list:
-            chunk = max(1, m_count // (4 * workers))
-            groups = [range(i, min(i + chunk, m_count)) for i in range(0, m_count, chunk)]
+        def measure(config: SimConfig, offset: int, times: list) -> list:
+            job = partial(_trees_job, config, seed, offset, times)
             return [row for rows in mapper(job, groups) for row in rows]
 
-        yield run
+        yield measure
+
+
+def _statistics(rows: list, times: list, pairs: list) -> np.ndarray:
+    """The (m, len(pairs), 2) biomass and count statistics, for each (T, t1)
+    of ``pairs``, of the m trees measured at ``times``."""
+    at = {t: j for j, t in enumerate(times)}
+    return np.asarray([[[_rate(r[at[t1]][k], r[at[T]][k], T, t1) for k in (0, 1)] for T, t1 in pairs] for r in rows])
 
 
 def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: float) -> MalthusEstimate:
@@ -183,19 +181,19 @@ def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: flo
     )
 
 
-def _estimate(config: SimConfig, m_trees: int, seed: int, estimator: str, offset: int, run) -> MalthusEstimate:
-    rows = run(partial(_trees_job, config, seed, offset, (estimator,), (config.horizon,)), m_trees)
-    per_tree = np.asarray([r[0][0][0] for r in rows])
-    pops = np.asarray([r[1] for r in rows])
-    return _summarize(config, per_tree, pops, config.horizon)
+def _estimate(config: SimConfig, estimator: str, offset: int, measure) -> MalthusEstimate:
+    T, t1 = _measure_times(None, None, config.horizon)
+    rows = measure(config, offset, [t1, T])
+    per_tree = _statistics(rows, [t1, T], [(T, t1)])[:, 0, ("biomass", "count").index(estimator)]
+    pops = np.asarray([r[1][1] for r in rows])
+    return _summarize(config, per_tree, pops, T)
 
 
 def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "biomass") -> MalthusEstimate:
     """Simulate ``m_trees`` independent trees on streams (seed, 0..m-1) and
     aggregate the per-tree statistics."""
-    workers = _check_run(m_trees, seed, estimator)
-    with _tree_runner(workers) as run:
-        return _estimate(config, m_trees, seed, estimator, 0, run)
+    with _tree_runner(m_trees, seed, estimator) as measure:
+        return _estimate(config, estimator, 0, measure)
 
 
 @dataclass(frozen=True)
@@ -224,17 +222,16 @@ def cv_table(
     Failures are recorded in-row with their exception type; a malformed
     tree count, seed, estimator or MALTHUS_THREADS raises before any row.
     """
-    workers = _check_run(m_trees, seed, estimator)
     baseline = base.kernel.law
     out = []
-    with _tree_runner(workers) as run:
+    with _tree_runner(m_trees, seed, estimator) as measure:
         for i, (alpha, T) in enumerate(rows):
             alpha = float(alpha)
             cv = alpha * baseline.cv
             try:
                 kernel = replace(base.kernel, law=baseline.contract(alpha))
                 cfg = replace(base, kernel=kernel, horizon=float(T))
-                out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, m_trees, seed, estimator, i * m_trees, run)))
+                out.append(CvTableRow(alpha, cv, float(T), _estimate(cfg, estimator, i * m_trees, measure)))
             except (ValueError, RuntimeError) as e:  # recorded, not fatal
                 out.append(CvTableRow(alpha, cv, float(T), None, f"error: {type(e).__name__}: {e}"))
     return out
@@ -246,19 +243,20 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     Both statistics are evaluated on the same trees (paired comparison);
     trees are simulated once up to the largest horizon, whose time-t prefix
     coincides with a horizon-t simulation because draws are path-keyed.
-    Returns (T, sd_biomass, sd_count) triples in input order.
+    Horizons must be positive and finite; a malformed one raises before any
+    tree.  Returns (T, sd_biomass, sd_count) triples in input order.
     """
     horizons = tuple(float(T) for T in horizons)
     if not horizons:
         raise ValueError("need at least one horizon")
-    workers = _check_run(m_trees, seed)
     # expanded to the largest horizon, not the config's: a longer tree
     # would be measured where no statistic reads it
     config = replace(config, horizon=max(horizons))
-    job = partial(_trees_job, config, seed, 0, ("biomass", "count"), horizons)
-    with _tree_runner(workers) as run:
-        rows = run(job, m_trees)
-    arr = np.asarray([r[0] for r in rows])  # (m, len(horizons), 2)
+    pairs = [_measure_times(T, None, config.horizon) for T in horizons]
+    times = sorted({t for pair in pairs for t in pair})
+    with _tree_runner(m_trees, seed) as measure:
+        rows = measure(config, 0, times)
+    arr = _statistics(rows, times, pairs)  # (m, len(horizons), 2)
     out = []
     for j, T in enumerate(horizons):
         out.append(

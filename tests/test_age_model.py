@@ -702,6 +702,14 @@ def test_cv_curve_alpha_zero_is_its_anchor(tg):
     assert [(r.alpha, r.status) for r in rows] == [(0.0, "ok"), (0.5, "ok")]
 
 
+def test_cv_curve_puts_a_nan_alpha_last(tg):
+    # a NaN CV compares false with every CV, so a plain sort by CV leaves it in place
+    rows = cv_curve(PowerLagRate(2.0, 1.0), tg, [0.5, math.nan, 0.2])
+    assert [r.alpha for r in rows][:3] == [0.0, 0.2, 0.5] and math.isnan(rows[3].alpha)
+    assert [r.status for r in rows[:3]] == ["ok"] * 3
+    assert rows[3].status.startswith("error: ValueError")
+
+
 def test_cv_curve_rejects_degenerate_baseline():
     with pytest.raises(ValueError):
         cv_curve(ConstantRate(1.0), Dirac(1.0), [0.5])

@@ -305,12 +305,17 @@ def test_group_failure_names_the_first_tree_that_fails_alone(monkeypatch, case, 
     assert str(got.value) == f"tree on stream {k} failed: {first}"
 
 
-def test_sd_comparison_validation():
+def test_sd_comparison_validation(monkeypatch):
+    # a malformed horizon raises before any tree, never blamed on one
+    def refuse(config, streams, times):
+        raise AssertionError("a tree ran")
+
+    monkeypatch.setattr(estimator, "group_measures", refuse)
     cfg = make_config()
-    with pytest.raises(ValueError):
-        estimator_sd_comparison(cfg, horizons=(), m_trees=4, seed=1)
-    with pytest.raises(ValueError):
-        estimator_sd_comparison(cfg, horizons=(5.0,), m_trees=1, seed=1)
+    for horizons, m_trees in [((), 4), ((5.0,), 1), ((-1.0, 4.0), 4), ((4.0, math.nan), 4), ((4.0, 0.0), 4)]:
+        with pytest.raises(ValueError) as got:
+            estimator_sd_comparison(cfg, horizons=horizons, m_trees=m_trees, seed=1)
+        assert "tree on stream" not in str(got.value)
 
 
 def test_cv_table_validates_its_inputs(monkeypatch):
