@@ -69,6 +69,7 @@ class Tolerance:
             raise ValueError("abs_tol must be positive and finite")
         if not (self.rel_tol >= 0.0 and math.isfinite(self.rel_tol)):
             raise ValueError("rel_tol must be non-negative and finite")
+        object.__setattr__(self, "max_iter", operator.index(self.max_iter))  # 2.5 or NaN raise here, not in range()
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

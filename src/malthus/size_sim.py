@@ -200,7 +200,7 @@ class SimConfig:
             raise ValueError("horizon must be positive and finite")
         if not (self.root_size > 0.0 and math.isfinite(self.root_size)):
             raise ValueError("root_size must be positive and finite")
-        if self.max_cells < 1:
+        if not self.max_cells >= 1:  # NaN fails it too, and would turn the budget off
             raise ValueError("max_cells must be positive")
         if isinstance(self.kernel.law, AlphaFamily):
             object.__setattr__(self, "kernel", replace(self.kernel, law=self.kernel.law.law()))
@@ -334,33 +334,45 @@ def _redraw(draw, ok, bases: np.ndarray, dom: int, budget: int):
 
     Attempt 0 runs on the whole frontier with one broadcast counter.  Each
     later pass draws the next K attempts (counters ``dom + k`` ..
-    ``dom + k + K - 1``) of every cell rejected so far and keeps each
-    cell's first accepted one.  K <= n / alive as in thinning, and K <=
-    tried / accepted of the previous pass, about the attempts one cell
-    needs at the observed acceptance, so a likely acceptance draws few
-    spare attempts.  Attempt k of a cell is a pure function of (cell base,
-    k), so a block gives the same bits as K single attempts.  Returns the
-    draws and the indices of the cells still rejected after ``budget``
-    attempts.
+    ``dom + k + K - 1``) of every cell rejected so far, as a block of K
+    rows over those cells, and keeps each cell's first accepted one.  K <=
+    n / alive as in thinning, and K <= tried / accepted of the previous
+    pass, about the attempts one cell needs at the observed acceptance, so
+    a likely acceptance draws few spare attempts.  Attempt k of a cell is
+    a pure function of (cell base, k), so a block gives the same bits as K
+    single attempts.  Returns the draws and the indices of the cells still
+    rejected after ``budget`` attempts.
     """
     n = bases.size
     x = draw(bases, np.uint64(dom))
-    good = ok(x)
-    redo = np.flatnonzero(~good)
+    redo = np.flatnonzero(~ok(x))
     tried, accepted = n, n - redo.size
     k = 1
     while redo.size and k < budget:
         K = min(64, n // redo.size, budget - k)
         if accepted:
             K = min(K, -(-tried // accepted))
-        y = draw(bases[redo, None], np.arange(dom + k, dom + k + K, dtype=np.uint64))
+        y = draw(bases[redo], np.arange(dom + k, dom + k + K, dtype=np.uint64)[:, None])
         good = ok(y)
         tried, accepted = good.size, int(np.count_nonzero(good))
-        hit = good.any(axis=1)
-        x[redo[hit]] = y[hit, good[hit].argmax(axis=1)]
+        hit, first = _first_accepted(good, y)
+        x[redo[hit]] = first
         redo = redo[~hit]
         k += K
     return x, redo
+
+
+def _first_accepted(accept: np.ndarray, values: np.ndarray) -> tuple:
+    """Which cells (columns) of an attempt-major block of K <= 64 rows
+    accepted an attempt, and in order the value of each one's first
+    acceptance, found as K minus a maximum of ranks down the rows: a
+    per-column ``argmax`` costs ~10 ns a cell on short columns."""
+    K, m = accept.shape
+    rank = (accept * np.arange(K, 0, -1, dtype=np.uint8)[:, None]).max(axis=0)
+    hit = rank.astype(bool)
+    pos = np.flatnonzero(hit)
+    pos += (K - rank[pos].astype(np.intp)) * m
+    return hit, values.reshape(-1)[pos]
 
 
 def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
@@ -492,17 +504,16 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     the envelope's closed-form inverse and are accepted with probability
     x_b/s, the exact hazard ratio.
 
-    Each pass draws the next K attempts of every cell not yet accepted, with
-    K <= n / alive so the block never outgrows the frontier.  Attempt k of a
-    cell is a pure function of (cell base, k), so a block gives the same
-    bits as K single attempts; draws past a cell's first acceptance are
-    discarded.  A pass with K = 1, which every pass is while more than half
-    the frontier is alive, runs on 1-D arrays with one scalar counter, and
-    its walk is ``cum + step * E`` itself.  A longer block builds its walk
-    in place, ``step * E`` with ``cum`` added to the first column, then one
-    sequential ``np.add.accumulate`` along the block, which adds in the
-    same order as one attempt at a time.  Either way the cells still
-    alive are compacted through one index, taken by all five state arrays.
+    Each pass draws the next K attempts of every cell not yet accepted, as
+    a block of K rows over those cells, with K <= n / alive so the block
+    never outgrows the frontier; K = 1 while more than half the frontier
+    is alive.  Attempt k of a cell is a pure function of (cell base, k), so
+    a block gives the same bits as K single attempts; draws past a cell's
+    first acceptance are discarded.  The walk is built in place: ``step *
+    E``, with ``cum`` added to the first row and then each row to the next,
+    which adds in the same order as one attempt at a time.  The cells
+    still alive are compacted through one index, taken by all five state
+    arrays.
 
     Under beta = 0 the acceptance x_b/s decays like 1/k while the candidate
     s grows linearly with the attempts k, so about k^(-1/v) of cells
@@ -523,35 +534,21 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
             raise RuntimeError(
                 f"thinning budget exhausted for {idx.size} cells (birth sizes near {x_b[idx][:3]}, rates near {v[idx][:3]})"
             )
+        K = min(64, n // idx.size, _THINNING_BUDGET - k, max(1, _THINNING_REANCHOR - k))
         if k >= _THINNING_REANCHOR:
             xb = div.inverse_cumulative(cum)
             step = v[idx] * xb
-            K = 1
-        else:
-            K = min(64, n // idx.size, _THINNING_BUDGET - k, _THINNING_REANCHOR - k)
-        if K == 1:
-            cnt = np.uint64(_DOM_SIZE + 2 * k)
-            walk = cum + step * -np.log(open_uniforms_at(b, cnt))
-            cand = div.inverse_cumulative(walk)
-            hit = uniforms_at(b, cnt + np.uint64(1)) * cand < xb
-            sel = np.flatnonzero(hit)
-            out[idx[sel]] = cand[sel]
-            last = walk
-        else:
-            cnt = np.arange(_DOM_SIZE + 2 * k, _DOM_SIZE + 2 * (k + K), 2, dtype=np.uint64)
-            walk = -np.log(open_uniforms_at(b[:, None], cnt))
-            walk *= step[:, None]
-            walk[:, 0] += cum
-            np.add.accumulate(walk, axis=1, out=walk)
-            cand = div.inverse_cumulative(walk)
-            accept = uniforms_at(b[:, None], cnt + np.uint64(1)) * cand < xb[:, None]
-            first = accept.argmax(axis=1)
-            hit = accept[np.arange(idx.size), first]
-            sel = np.flatnonzero(hit)
-            out[idx[sel]] = cand[sel, first[sel]]
-            last = walk[:, -1]
+        cnt = np.arange(_DOM_SIZE + 2 * k, _DOM_SIZE + 2 * (k + K), 2, dtype=np.uint64)[:, None]
+        walk = -np.log(open_uniforms_at(b, cnt))
+        walk *= step
+        walk[0] += cum
+        for j in range(1, K):
+            walk[j] += walk[j - 1]
+        cand = div.inverse_cumulative(walk)
+        hit, first = _first_accepted(uniforms_at(b, cnt + np.uint64(1)) * cand < xb, cand)
+        out[idx[hit]] = first
         keep = np.flatnonzero(~hit)
-        idx, b, xb, step, cum = idx[keep], b[keep], xb[keep], step[keep], last[keep]
+        idx, b, xb, step, cum = idx[keep], b[keep], xb[keep], step[keep], walk[-1][keep]
         k += K
     return out
 

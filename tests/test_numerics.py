@@ -217,6 +217,15 @@ def test_root_exhaustion_raises_with_best():
     assert 0.4 < info.value.best < root
 
 
+def test_tolerance_takes_an_integer_step_budget():
+    # range() takes only integers: a float budget would fail at the first solve
+    assert Tolerance(max_iter=np.int64(60)) == Tolerance(max_iter=60)
+    assert type(Tolerance(max_iter=np.int64(60)).max_iter) is int
+    for bad in (2.5, math.nan):
+        with pytest.raises(TypeError):
+            Tolerance(max_iter=bad)
+
+
 def test_root_failure_states_the_residual():
     # h drops by 4 at x = 0.5, past which it never meets the target: the
     # first step lands at ln 2 with residual 0.75

@@ -33,7 +33,15 @@ from malthus.size_sim import (
     sample_division_size,
     simulate_tree,
 )
-from malthus.size_sim import _DOM_RATE, _DOM_SIZE, _child_rates, _division_sizes, _draw_rates, _inverse_from
+from malthus.size_sim import (
+    _DOM_RATE,
+    _DOM_SIZE,
+    _child_rates,
+    _division_sizes,
+    _draw_rates,
+    _first_accepted,
+    _inverse_from,
+)
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
 
@@ -195,21 +203,27 @@ def test_sample_growth_rate_kernels():
 # --- rejection loops: per-attempt references, budgets, pass counts ---------------
 
 
-def per_attempt_thinning(div, bases, x_b, v):
+def per_attempt_thinning(div, bases, x_b, v, reanchor=math.inf):
     """Thinning one attempt per loop iteration, the reference for the blocked
-    sampler; returns the division sizes and each cell's accepted attempt."""
+    sampler; returns the division sizes and each cell's accepted attempt.
+    From attempt ``reanchor`` on, each attempt first moves a cell's envelope
+    to its last candidate."""
     n = bases.size
     cum = div.cumulative(x_b)
+    xb, step = x_b.copy(), v * x_b
     out = np.empty(n)
     first = np.full(n, -1)
     alive = np.arange(n)
     k = 0
     while alive.size:
+        if k >= reanchor:
+            xb[alive] = div.inverse_cumulative(cum[alive])
+            step[alive] = v[alive] * xb[alive]
         cnt = np.full(alive.size, _DOM_SIZE + 2 * k, dtype=np.uint64)
         E = -np.log(open_uniforms_at(bases[alive], cnt))
-        cum[alive] = cum[alive] + v[alive] * x_b[alive] * E
+        cum[alive] = cum[alive] + step[alive] * E
         cand = div.inverse_cumulative(cum[alive])
-        accept = uniforms_at(bases[alive], cnt + np.uint64(1)) * cand < x_b[alive]
+        accept = uniforms_at(bases[alive], cnt + np.uint64(1)) * cand < xb[alive]
         out[alive[accept]] = cand[accept]
         first[alive[accept]] = k
         alive = alive[~accept]
@@ -263,6 +277,33 @@ def test_thinning_blocks_match_per_attempt_loop(seed, n_typical, n_small, small,
     bases, x_b, v = thinning_inputs(seed, n_typical, n_small, small)
     expect, _ = per_attempt_thinning(div, bases, x_b, v)
     assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
+
+
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+def test_reanchored_thinning_matches_per_attempt_loop(beta, monkeypatch):
+    # past attempt 3 every pass is one attempt on an envelope that follows
+    # each cell's last candidate
+    monkeypatch.setattr(size_sim, "_THINNING_REANCHOR", 3)
+    div = SizeDivisionRate(1.0, beta, "unit_time")
+    bases, x_b, v = thinning_inputs(5, 300, 3, 0.03)
+    expect, first = per_attempt_thinning(div, bases, x_b, v, reanchor=3)
+    assert np.count_nonzero(first >= 3) >= 3
+    assert np.array_equal(_division_sizes(make_config(division=div), bases, x_b, v), expect)
+
+
+def test_first_accepted_takes_each_cells_first_accepted_attempt():
+    # attempt-major blocks: a row per attempt, a column per cell; the third
+    # cell accepts no attempt
+    accept = np.array([[False, True, False, False], [True, True, False, False], [False, False, False, True]])
+    values = np.arange(12.0).reshape(3, 4)
+    hit, first = _first_accepted(accept, values)
+    assert hit.tolist() == [True, True, False, True]
+    assert first.tolist() == [4.0, 1.0, 11.0]
+    hit, first = _first_accepted(accept[:1], values[:1])  # K = 1
+    assert hit.tolist() == [False, True, False, False]
+    assert first.tolist() == [1.0]
+    hit, first = _first_accepted(accept[:, 2:3], values[:, 2:3])
+    assert hit.tolist() == [False] and first.size == 0
 
 
 @pytest.mark.parametrize(
@@ -324,8 +365,8 @@ def test_thinning_past_its_birth_size_envelope_keeps_the_division_law(beta, rean
 
 
 def test_thinning_draws_the_same_attempts(monkeypatch):
-    # pinned pass sizes, 1533 attempts in all: a single-attempt pass on
-    # 1-D arrays and a block draw exactly these attempts, no spare one
+    # pinned pass sizes, 1533 attempts in all: blocks of one attempt and
+    # longer blocks draw exactly these attempts, no spare one
     calls = []
 
     def counting(base, counters):
@@ -904,3 +945,11 @@ def test_config_validation():
         UniformAsymmetric(0.5)
     with pytest.raises(ValueError):
         AutoRegressive(TG, 1.5)
+
+
+def test_config_rejects_a_nan_cell_budget():
+    # no cell count exceeds NaN, so a NaN budget would turn the budget off
+    with pytest.raises(ValueError, match="max_cells"):
+        make_config(max_cells=math.nan)
+    a, b = make_config(max_cells=1000.0), make_config(max_cells=1000)
+    assert a == b and a.digest == b.digest
