@@ -7,17 +7,18 @@ population growth exponent lambda solves
 
     2 * iint exp(-lambda a / v) f_B(a) rho(v) dv da = 1.
 
-Every age integral uses one 16-point Gauss-Legendre rule on geometrically
+Every age integral uses the 16-point Gauss-Legendre rule on geometrically
 graded panels.  Integrals against the division-age law go through one
 table, built once per division rate and kept on it: panels graded toward 0
 and toward the onset of the support and cut at the kinks of B, weighted by
-f_B (terminal atom included).  One evaluator sums exp(-lambda a / v) over
-its nodes and a set of rates v: the nodes of rho for the resolvent and its
-slope, and others for the alpha-derivatives.  The closed forms of the
-constant rate are test oracles only.  Integrals up to each node (the
-accumulated hazard of the general form) come from the rule's
-antiderivative matrix, and the eigenvector tails from a table cut at the
-user's grid ages, built per call.
+f_B (terminal atom included); a small cell that the kinks cut from a
+graded panel takes a rule of 8 or 4 points.  One evaluator sums
+exp(-lambda a / v) over its nodes and a set of rates v: the nodes of rho
+for the resolvent and its slope, and others for the alpha-derivatives.
+The closed forms of the constant rate are test oracles only.  Integrals
+up to each node (the accumulated hazard of the general form) come from
+the rule's antiderivative matrix, and the eigenvector tails from a table
+cut at the user's grid ages, built per call.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -546,22 +547,40 @@ def _cumulative(f: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _fb_table(B, ages: Sequence[float] = ()):
-    """Quadrature table of the division-age law: nodes a and weights w with
-    w @ g(a) = int f_B g (terminal atom included), cut at B.cutoff(TAIL_EPS).
+    """Quadrature table of the division-age law: nodes a, ascending, and
+    weights w with w @ g(a) = int f_B g (terminal atom included), cut at
+    B.cutoff(TAIL_EPS).
 
     Panels are graded toward 0 and toward the onset of the support and cut
     at the kinks of B; between kinks f_B is smooth, so the kinks of a
-    tabulated hazard need no grading of their own.  Given grid ``ages``, the
-    table is also cut at every age, graded toward the last one and runs to
+    tabulated hazard need no grading of their own.  A graded panel takes
+    the 16-point Gauss-Legendre rule, and so does a cell that the kinks cut
+    from it if the cell keeps more than 1/4 of it; a cell keeping more than
+    1/16 takes 8 points, a smaller one 4.  Given grid ``ages``, the table is
+    also cut at every age, graded toward the last one and runs to
     B.cutoff(TAIL_EPS * S(ages[-1])), so the tail past the grid keeps the
-    same relative accuracy."""
+    same relative accuracy.  Every panel of such a table takes 16 points:
+    each age starts a boundary layer exp(-K (s - a)), which a short rule on
+    a kink cell right after the age would not resolve."""
     graded, eps = {0.0, float(B.support_start)}, TAIL_EPS
     if len(ages):
         graded.add(float(ages[-1]))
         eps *= float(B.survival(ages[-1]))
-    edges = _panel_edges(B.cutoff(eps), graded, (*B.kinks, *ages))
-    a, g = _gl_on(edges[:-1, None], edges[1:, None])
-    a, g = a.ravel(), g.ravel()
+    end = B.cutoff(eps)
+    edges = _panel_edges(end, graded, (*B.kinks, *ages))
+    lo, hi = edges[:-1], edges[1:]
+    if len(ages):
+        n = np.full(lo.size, 16)
+    else:
+        parent = _panel_edges(end, graded)
+        share = (hi - lo) / np.diff(parent)[np.searchsorted(parent, lo, side="right") - 1]
+        n = np.where(share > 1 / 4, 16, np.where(share > 1 / 16, 8, 4))
+    first = np.cumsum(n) - n  # each panel's first row, in panel order
+    a, g = np.empty(n.sum()), np.empty(n.sum())
+    for k in (16, 8, 4):
+        on = n == k
+        rows = first[on, None] + np.arange(k)
+        a[rows], g[rows] = _gl_on(lo[on, None], hi[on, None], k)
     w = g * B.density(a)
     atom = float(B.atom_mass)
     if atom > 0.0:
@@ -671,13 +690,16 @@ def malthus_general(
     toward every age of ``kink_ages`` (where an onset (a - lag)^beta sits),
     that fall inside it, so the hazard is evaluated once per node at the
     points of the final grid and nowhere else.  The inverse speed is then
-    evaluated on the same points.  Both are written once into one
-    node-major block (Gauss node x quantity x rate node x panel) and
-    accumulated by :func:`_cumulative`, which contracts the node axis
-    first; the leading panels where the hazard is 0 at every node are left
-    out, and their inverse speed enters only as a carried total.  Each
-    resolvent evaluation is then one exponential and two weighted sums, for
-    H and its slope, and at lambda = 0 both come from the weight sums.
+    evaluated on the same points.  A hazard that is not finite and
+    non-negative there, or an inverse speed that is not finite and
+    positive, raises ValueError naming the rate node and the age.  Both
+    are written once into one node-major block (Gauss node x quantity x
+    rate node x panel) and accumulated by :func:`_cumulative`, which
+    contracts the node axis first; the leading panels where the hazard is
+    0 at every node are left out, and their inverse speed enters only as a
+    carried total.  Each resolvent evaluation is then one exponential and
+    two weighted sums, for H and its slope, and at lambda = 0 both come
+    from the weight sums.
     """
     nodes, weights = rho.quadrature()
     graded = (0.0, *kink_ages)
@@ -687,6 +709,14 @@ def malthus_general(
         for row, v in zip(out, nodes):
             row[...] = fn(t, float(v))
         return out
+
+    def refuse(name, sign, values, t, ok):
+        # names the first rate node, and its first age, where ``ok`` fails
+        i, k = np.unravel_index(np.argmin(ok), values.shape)
+        raise ValueError(
+            f"{name} must be finite and {sign}: {float(values[i, k])!r} at age {float(t[k])!r}"
+            f" on rate node v = {float(nodes[i])!r}"
+        )
 
     # per span: edges, Gauss nodes and weights (node x panel), hazard
     # (rate node x node x panel)
@@ -700,6 +730,9 @@ def malthus_general(
         haz = on_grid(hazard, t.ravel(), np.empty((nodes.size, t.size)))
         spans.append((edges, t, w_t, haz.reshape(nodes.size, *t.shape)))
         mass += np.einsum("vi,i->v", haz, w_t.ravel())
+        # a NaN or negative hazard fails the min, an infinite one the mass
+        if not (haz.min() >= 0.0 and np.isfinite(mass).all()):
+            refuse("hazard", "non-negative", haz, t.ravel(), np.isfinite(haz) & (haz >= 0.0))
         if mass.min() >= -math.log(TAIL_EPS):
             break
         start, end = end, 2.0 * end
@@ -709,7 +742,10 @@ def malthus_general(
     edges = np.unique(np.concatenate([span[0] for span in spans]))
     t, w_t, haz = (np.concatenate([span[i] for span in spans], axis=-1) for i in (1, 2, 3))
     del spans
-    inv = on_grid(inv_speed, t.ravel(), np.empty((nodes.size, t.size))).reshape(haz.shape)
+    inv = on_grid(inv_speed, t.ravel(), np.empty((nodes.size, t.size)))
+    if not (inv.min() > 0.0 and inv.max() < math.inf):
+        refuse("inv_speed", "positive", inv, t.ravel(), np.isfinite(inv) & (inv > 0.0))
+    inv = inv.reshape(haz.shape)
     # the panels before the first with hazard at any rate node, the lag
     # before an onset, add nothing to H: only their inverse speed carries on
     lag = int(np.argmax(haz.any(axis=(0, 1))))

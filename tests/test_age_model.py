@@ -1,6 +1,7 @@
 """Division-rate laws, growth-exponent solvers, eigenvectors, perturbation."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from malthus.age_model import (
     malthus_with_variability,
     sign_condition,
 )
-from malthus.numerics import find_root_decreasing
+from malthus.numerics import TAIL_EPS, find_root_decreasing
 
 TWOPOINT = DiscreteMixture([(0.5, 0.5), (1.5, 0.5)])
 
@@ -243,13 +244,13 @@ def blockwise_pair(B, law, lams):
 
 
 def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
-    # blocks of 64 rows of 64 rate nodes (4096 rows of one Dirac node):
-    # every table below spans many of them
+    # blocks of 16 rows of 64 rate nodes (1024 rows of one Dirac node):
+    # every table below spans more than four of them
     law = AlphaFamily(tg, 0.5).law()
     cases = [(witness_rate(), law), (PowerLagRate(0.25, 1.0), law), (witness_rate(), Dirac(1.0))]
     lams = [0.0, 0.5, 1.0, 2.0]
     for B, law_ in cases:
-        assert age_model._kept_rows(age_model._fb_table(B)[1]).sum() > 4 * 4096 // law_.quadrature()[0].size
+        assert age_model._kept_rows(age_model._fb_table(B)[1]).sum() > 4 * 1024 // law_.quadrature()[0].size
 
     def solves():
         # every caller of the one evaluator, on fresh rates
@@ -267,7 +268,7 @@ def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
         assert got[1:] == blockwise_pair(B, law_, lams[1:])
         for v, ref in zip(got[0], blockwise_pair(B, law_, [0.0])[0]):
             assert abs(v - ref) <= 1e-14 * abs(ref)
-    monkeypatch.setattr(age_model, "_BLOCK", 64 * 64)
+    monkeypatch.setattr(age_model, "_BLOCK", 32 * 32)
     assert solves() == default
 
 
@@ -308,6 +309,124 @@ def test_warm_rate_solves_as_a_fresh_equal_rate(tg, make):
     assert malthus_with_variability(warm, law) == malthus_with_variability(fresh, law)
     assert malthus_reference(warm, 0.8) == malthus_reference(make(), 0.8)
     assert dlambda_dalpha(warm, AlphaFamily(tg, 0.5)) == dlambda_dalpha(make(), AlphaFamily(tg, 0.5))
+
+
+def every_panel_sixteen_nodes(B, ages=()):
+    """The f_B table with the 16-point rule on every panel, kink cells
+    included: the panels and weights of :func:`age_model._fb_table`."""
+    graded, eps = {0.0, float(B.support_start)}, TAIL_EPS
+    if len(ages):
+        graded.add(float(ages[-1]))
+        eps *= float(B.survival(ages[-1]))
+    edges = age_model._panel_edges(B.cutoff(eps), graded, (*B.kinks, *ages))
+    a, g = (x.ravel() for x in age_model._gl_on(edges[:-1, None], edges[1:, None]))
+    w = g * B.density(a)
+    if B.atom_mass > 0.0:
+        a, w = np.append(a, B.support_end), np.append(w, B.atom_mass)
+    return a, w
+
+
+def tabulated_power_lag(n):
+    # (a - 1)^2 past a lag of 1 at n equally spaced ages on [0, 8]; survival
+    # e^-114 at the end
+    a = np.linspace(0.0, 8.0, n)
+    return TabulatedRate(a, np.maximum(a - 1.0, 0.0) ** 2)
+
+
+def tabulated_sine():
+    a = np.linspace(0.0, 40.0, 120)
+    return TabulatedRate(a, 1.0 + 0.5 * np.sin(3.0 * a))
+
+
+def tabulated_root():
+    a = np.append(0.0, np.geomspace(1e-6, 4.0, 60))
+    return TabulatedRate(a, 3.0 * np.sqrt(a))
+
+
+@pytest.mark.parametrize(
+    "make, ulps, rel",
+    [(witness_rate, 8, 0.0),
+     *((lambda n=n: tabulated_power_lag(n), 0, 1e-15) for n in (5, 10, 20, 50, 200, 2000)),
+     (tabulated_sine, 0, 1e-15), (tabulated_root, 0, 1e-15)],
+    ids=["witness", *(f"power-lag{n}" for n in (5, 10, 20, 50, 200, 2000)), "sine", "root"],
+)
+def test_short_rules_on_kink_cells_keep_lambda(tg, monkeypatch, make, ulps, rel):
+    # 8 or 4 Gauss nodes on the cells that a tabulated hazard's kinks cut
+    # small, against 16 on every panel; measured: <= 2 ulps, <= 4.4e-16
+    laws = [Dirac(1.0), *(AlphaFamily(tg, alpha).law() for alpha in (0.2, 0.5, 0.9, 1.0))]
+    B = make()
+    a, w = age_model._fb_table(B)
+    assert np.all(np.diff(a) > 0.0) and a.size < every_panel_sixteen_nodes(B)[0].size
+    short = [malthus_with_variability(make(), law) for law in laws]
+    monkeypatch.setattr(age_model, "_fb_table", every_panel_sixteen_nodes)
+    for law, got in zip(laws, short):
+        ref = malthus_with_variability(make(), law)
+        assert abs(got - ref) <= max(ulps * math.ulp(ref), rel * ref), law
+
+
+@pytest.mark.parametrize("B", [*(PowerLagRate(beta, lag) for beta in (0.0, 0.25, 2.0, 7.0) for lag in (0.0, 1.0)),
+                               ConstantRate(1.3)], ids=repr)
+def test_graded_panels_keep_sixteen_nodes(B):
+    # no kink cuts a graded panel of a closed-form rate: its table, and the
+    # one eigen_pair cuts at grid ages, are unchanged bit for bit
+    for ages in ((), np.linspace(0.0, 2.0, 41)):
+        for got, ref in zip(age_model._fb_table(B, ages), every_panel_sixteen_nodes(B, ages)):
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 50, 2000])
+def test_tables_cut_at_grid_ages_keep_sixteen_nodes(n):
+    B = tabulated_power_lag(n)
+    for ages in (np.linspace(0.0, 4.0, 41), np.linspace(0.0, 6.0, 400)):
+        for got, ref in zip(age_model._fb_table(B, ages), every_panel_sixteen_nodes(B, ages)):
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_a, n_v", [(41, 39), (400, 200)])
+def test_eigen_pair_matches_sixteen_nodes_everywhere(monkeypatch, n_a, n_v):
+    # the README's age and rate ranges on a tabulated power-lag: only lambda,
+    # from the rate's table, moves; measured: N and phi within 1.6e-15 and
+    # 2e-14 relative
+    law = AlphaFamily(_EIG_TG, 0.5).law()
+    a_nodes, v_nodes = np.linspace(0.0, 6.0, n_a), np.linspace(1e-3, 1.999, n_v)
+    short = eigen_pair(tabulated_power_lag(50), law, a_nodes, v_nodes)
+    monkeypatch.setattr(age_model, "_fb_table", every_panel_sixteen_nodes)
+    ref = eigen_pair(tabulated_power_lag(50), law, a_nodes, v_nodes)
+    assert abs(short.lam - ref.lam) <= 8 * math.ulp(ref.lam)
+    for got, want in ((short.N, ref.N), (short.phi, ref.phi)):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_eigen_phi_of_a_tabulated_rate_matches_adaptive_quadrature():
+    # at v = 1e-3 each grid age starts a layer exp(-lam (s - a) / v) some
+    # 2e-3 wide, cut by the hazard's kinks; 4 Gauss nodes on the kink cells
+    # there put these rows 2.9e-9 to 1.2e-6 off, 16 nodes 7.6e-15 to 1e-10
+    B = tabulated_power_lag(50)
+    a_nodes, v_nodes = np.linspace(0.0, 6.0, 41), np.linspace(1e-3, 1.999, 39)
+    pair = eigen_pair(B, AlphaFamily(_EIG_TG, 0.5).law(), a_nodes, v_nodes)
+    for i in (13, 15, 27, 39):
+        a = a_nodes[i]
+        cuts = [0.0, *(k - a for k in B.ages if k > a)]
+        for j in (0, 1, 20, 38):
+            def g(t):
+                decay = pair.lam * t / v_nodes[j] + B.cumulative(a + t) - B.cumulative(a)
+                return math.exp(-decay) * B.hazard(a + t)
+
+            tail = sum(quad(g, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x0, x1 in zip(cuts, cuts[1:]))
+            assert abs(pair.phi[i, j] / pair.kappa_prime / tail - 1.0) <= 1e-9, (a, v_nodes[j])
+
+
+def test_witness_solve_peak_memory(tg):
+    # the table and its exponents at 5 939 kept rows: 3.8 MiB traced, 11.4
+    # with 16 Gauss nodes on every kink cell (20 203 kept rows)
+    B, law = witness_rate(), AlphaFamily(tg, 0.5).law()
+    tracemalloc.start()
+    try:
+        malthus_with_variability(B, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_resolvent_slopes_match_the_constant_rate_closed_form():
@@ -467,6 +586,35 @@ def test_constant_time_hazard_invariance(tg):
     for rho in (tg, UniformLaw(0.5, 1.5), TWOPOINT):
         lam = malthus_general(lambda a, v: c / v, lambda a, v: 1.0 / v, rho)
         assert abs(lam - c) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "hazard, inv_speed, match",
+    [(lambda a, v: a - 0.5, lambda a, v: 1.0 / v, "hazard must be finite and non-negative: -0.49"),
+     (lambda a, v: np.where(a > 2.0, np.nan, 1.0), lambda a, v: 1.0 / v, "hazard .*: nan at age 2.0"),
+     (lambda a, v: np.where(v > 1.2, -1.0, 1.0) + 0.0 * a, lambda a, v: 1.0 / v, "-1.0 at age .* v = 1.20"),
+     (lambda a, v: np.where(a > 0.7, np.inf, 1.0), lambda a, v: 1.0 / v, "hazard .*: inf at age 0.75"),
+     (lambda a, v: np.ones_like(a), lambda a, v: np.where(a < 0.5, -1.0, 1.0 / v),
+      "inv_speed must be finite and positive: -1.0 at age 5.2"),
+     (lambda a, v: np.ones_like(a), lambda a, v: np.where(a > 0.5, np.inf, 1.0 / v), "inv_speed .*: inf at age 0.56")],
+    ids=["mixed-sign", "nan", "negative-on-one-rate-node", "infinite", "negative-inv-speed", "infinite-inv-speed"],
+)
+def test_general_solver_rejects_invalid_hazard_and_speed(tg, hazard, inv_speed, match):
+    # the error names the quantity, the rate node and the age, before any
+    # root solve or the search for the tail
+    with pytest.raises(ValueError, match=match):
+        malthus_general(hazard, inv_speed, AlphaFamily(tg, 0.5).law())
+
+
+def test_general_solver_accepts_a_hazard_infinite_only_at_zero():
+    # B = 1/sqrt(a), every cell at rate 1: u = sqrt(a) turns the resolvent
+    # into 4 int exp(-2u - lam u^2) du; no Gauss node sits at a = 0
+    def H(lam):
+        return 4.0 * quad(lambda u: math.exp(-2.0 * u - lam * u * u), 0.0, math.inf, epsabs=1e-14, epsrel=1e-14)[0]
+
+    oracle = brentq(lambda lam: H(lam) - 1.0, 0.1, 50.0, xtol=1e-14)
+    lam = malthus_general(lambda a, v: 1.0 / np.sqrt(a), lambda a, v: 1.0 / v, Dirac(1.0))
+    assert abs(lam / oracle - 1.0) <= 2e-5  # measured 5.3e-6: the a^(-1/2) onset
 
 
 def test_witness_matches_independent_oracle():
