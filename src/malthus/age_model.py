@@ -15,10 +15,14 @@ f_B (terminal atom included); a small cell that the kinks cut from a
 graded panel takes a rule of 8 or 4 points.  One evaluator sums
 exp(-lambda a / v) over its nodes and a set of rates v: the nodes of rho
 for the resolvent and its slope, and others for the alpha-derivatives.
-The closed forms of the constant rate are test oracles only.  Integrals
-up to each node (the accumulated hazard of the general form) come from
-the rule's antiderivative matrix, and the eigenvector tails from a table
-cut at the user's grid ages, built per call.
+Integrals over the rates take one Gauss-Legendre rule on the window of
+rho, of 12 to 64 nodes sized by the law itself: by how far the window
+sits from the pole of exp(-lambda a / v) at v = 0 and, for a truncated
+Gaussian, by its width (:func:`_window_rule`).  The closed forms of the
+constant rate are test oracles only.  Integrals up to each node (the
+accumulated hazard of the general form) come from the rule's
+antiderivative matrix, and the eigenvector tails from a table cut at the
+user's grid ages, built per call.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -29,6 +33,7 @@ first/second perturbation derivatives of lambda in alpha.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -65,7 +70,9 @@ __all__ = [
     "cv_curve",
 ]
 
-_GL_NODES = 64
+_GL_NODES = 64  # most nodes of a rate window's Gauss rule; all on a window touching v = 0
+_GL_FLOOR = 12  # fewest nodes of a rate window's Gauss rule
+_LN_EPS = -math.log(np.finfo(np.float64).eps)  # ln(1/eps): a rate rule aims at float64 precision
 _SIGN_SAMPLES = 4096  # midpoints at which sign_condition reads B' - B^2
 _BLOCK = 1 << 16  # elements of the resolvent's scratch block of f_B-table rows
 
@@ -311,10 +318,11 @@ class Dirac(_RateLaw):
         return self
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=128)
 def _legendre(n: int) -> tuple:
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first
-    use and shared read-only."""
+    use and shared read-only; the cache holds every size the panels and
+    the rate windows (12 to 64 nodes) use."""
     x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -327,6 +335,27 @@ def _gl_on(a, b, n: int = 16):
     x, w = _legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def _window_rule(lo: float, hi: float, least: int = _GL_FLOOR):
+    """Gauss-Legendre nodes and weights on a rate window [lo, hi], with as
+    many nodes as its pole term asks, at least ``least`` and at most
+    _GL_NODES.
+
+    Every integrand over the rates is analytic but for v = 0: exp(-K / v),
+    K = lambda a >= 0, times 1/v, (a / v) or a density.  In reference
+    coordinates v = 0 sits at x0 = (hi + lo) / (hi - lo), and the Bernstein
+    ellipse through it has rho0 = x0 + sqrt(x0^2 - 1), so ln rho0 =
+    2 atanh(sqrt(lo / hi)).  Inside it Re v > 0, so |exp(-K / v)| <= 1 for
+    every K, and an n-point rule errs by O(rho0^(-2n)) (Trefethen, SIAM
+    Review 50, 2008) at every lambda and every age at once: the pole term
+    is the n with rho0^(-2n) <= eps.  A window touching 0 has no such
+    ellipse and keeps _GL_NODES."""
+    q = math.sqrt(lo / hi)
+    if q == 0.0:
+        return _gl_on(lo, hi, _GL_NODES)
+    pole = math.ceil(_LN_EPS / (4.0 * math.atanh(q)))
+    return _gl_on(lo, hi, min(_GL_NODES, max(least, pole)))
 
 
 @dataclass(frozen=True)
@@ -371,6 +400,9 @@ class TruncatedGaussian(_Window):
             # the symmetric-moment formulas cancel catastrophically here;
             # a flat law should be UniformLaw instead
             raise ValueError("window too narrow relative to sigma_eta; use UniformLaw")
+        if not self.mean + self.sigma_eta > self.mean:
+            # the rate rule's window, the mean +- 8.5 sigma, would be empty
+            raise ValueError("sigma_eta below the resolution of the mean; use Dirac")
 
     @property
     def _beta(self) -> float:
@@ -394,7 +426,21 @@ class TruncatedGaussian(_Window):
         return np.where((v >= self.v_min) & (v <= self.v_max), pdf, 0.0)
 
     def quadrature(self):
-        x, w = _gl_on(self.v_min, self.v_max, _GL_NODES)
+        """Rate nodes and weights: :func:`_window_rule` on the window, cut
+        to mean +- sqrt(2 ln(1/eps)) sigma (~8.5 sigma) where it is wider,
+        as the density falls below eps of its peak there.  The width term
+        is the n at which the density's first term past the rule's exact
+        degree, its Chebyshev coefficient of degree 2n, about
+        exp(-1/(4 s^2)) (8 s^2)^-n / n! with s = sigma / half-window, is
+        below eps (Stirling: n ln(8 n s^2 / e) + 1/(4 s^2) >= ln(1/eps));
+        the cut keeps s >= 1/8.5, so it asks at most 39 nodes."""
+        cut = math.sqrt(2.0 * _LN_EPS) * self.sigma_eta
+        lo, hi = max(self.v_min, self.mean - cut), min(self.v_max, self.mean + cut)
+        s2 = (2.0 * self.sigma_eta / (hi - lo)) ** 2
+        width = next(
+            n for n in itertools.count(_GL_FLOOR) if n * math.log(8.0 * n * s2 / math.e) + 0.25 / s2 >= _LN_EPS
+        )
+        x, w = _window_rule(lo, hi, width)
         return x, w * self.density(x)
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "TruncatedGaussian":
@@ -418,7 +464,8 @@ class UniformLaw(_Window):
         )
 
     def quadrature(self):
-        x, w = _gl_on(self.v_min, self.v_max, _GL_NODES)
+        """Rate nodes and weights: :func:`_window_rule` on the window."""
+        x, w = _window_rule(self.v_min, self.v_max)
         return x, w / (self.v_max - self.v_min)
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "UniformLaw":

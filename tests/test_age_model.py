@@ -1,6 +1,7 @@
 """Division-rate laws, growth-exponent solvers, eigenvectors, perturbation."""
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,8 +245,9 @@ def blockwise_pair(B, law, lams):
 
 
 def test_resolvent_row_blocks_leave_h_unchanged(tg, monkeypatch):
-    # blocks of 16 rows of 64 rate nodes (1024 rows of one Dirac node):
-    # every table below spans more than four of them
+    # blocks of 1024 // n rows of a law's n rate nodes (73 rows of the 14
+    # of this law, 1024 rows of one Dirac node): every table below spans
+    # more than four of them
     law = AlphaFamily(tg, 0.5).law()
     cases = [(witness_rate(), law), (PowerLagRate(0.25, 1.0), law), (witness_rate(), Dirac(1.0))]
     lams = [0.0, 0.5, 1.0, 2.0]
@@ -511,6 +513,91 @@ def test_gauss_rule_matches_scipy(n, weight_rel):
         assert abs(float(np.einsum("i,i->", w, x**k)) - exact) <= 1e-14
 
 
+class CompositeRule:
+    """A window law's density on ``panels`` equal panels of ``n`` Gauss
+    nodes each: the reference for the law's own rule.  One rule of
+    hundreds of nodes is a poorer one: it integrates a narrow density only
+    to ~1e-14 (2.7e-14 at 400 nodes for sd 1/20 of the half-window)."""
+
+    def __init__(self, law, panels: int, n: int):
+        self.support = law.support
+        edges = np.linspace(law.v_min, law.v_max, panels + 1)
+        x, w = (z.ravel() for z in age_model._gl_on(edges[:-1, None], edges[1:, None], n))
+        self.rule = x, w * law.density(x)
+
+    def quadrature(self):
+        return self.rule
+
+
+@pytest.mark.parametrize("baseline", [TruncatedGaussian(0.0, 2.0, 0.7), UniformLaw(0.0, 2.0)], ids=["tg", "uniform"])
+def test_rate_rule_matches_a_200_node_rule(baseline):
+    # the law's own rule of 12 to 64 nodes against 10 panels of 20 along
+    # the contraction family; measured at most 3.7e-15 (malthus_general
+    # 3.1e-15), and 5.8e-15 from the former 64-node rule
+    rates = [*(PowerLagRate(beta, 1.0) for beta in (0.0, 0.25, 1.0, 2.0, 7.0)), PowerLagRate(0.5, 0.0),
+             ConstantRate(0.3), ConstantRate(5.0), witness_rate()]
+    for alpha in (0.05, 0.2, 0.4, 0.55, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97):
+        law = baseline.contract(alpha)
+        ref = CompositeRule(law, 10, 20)
+        for B in rates:
+            lam = malthus_with_variability(B, law)
+            assert abs(lam / malthus_with_variability(B, ref) - 1.0) <= 1e-13, (alpha, B)
+        if alpha in (0.2, 0.55, 0.9):
+            for B in rates[:6]:
+                hazard, inv_speed = (lambda a, v: B.hazard(a)), (lambda a, v: np.full_like(a, 1.0 / v))
+                lam = malthus_general(hazard, inv_speed, law, kink_ages=B.kinks)
+                ref_lam = malthus_general(hazard, inv_speed, ref, kink_ages=B.kinks)
+                assert abs(lam / ref_lam - 1.0) <= 1e-13, (alpha, B)
+
+
+@pytest.mark.parametrize("sigma, n", [(0.1, 27), (0.05, 39), (0.025, 39), (0.01, 39)])
+def test_narrow_truncated_gaussian_is_resolved(sigma, n):
+    # measured 3.3e-15, 2.7e-15 and 4.7e-15 at sd 0.05 to 0.01; a 64-node
+    # rule on the whole window read 3.1e-15, 5.0e-9 and 11%.  The width
+    # term asks 27 nodes at sd 0.1 (s = 0.2); below, the rule cuts the
+    # window to the mean +- 8.5 sd and takes 39 nodes there
+    law, B = TruncatedGaussian(0.5, 1.5, sigma), PowerLagRate(2.0, 1.0)
+    ref = malthus_with_variability(B, CompositeRule(law, 16, 25))
+    assert abs(malthus_with_variability(B, law) / ref - 1.0) <= 1e-13
+    nodes, weights = law.quadrature()
+    assert nodes.size == n and abs(weights.sum() - 1.0) <= 1e-14  # measured 2.0e-15
+    assert 1.0 - 8.5 * sigma < nodes[0] < nodes[-1] < 1.0 + 8.5 * sigma
+
+
+def test_truncated_gaussian_rejects_an_sd_below_the_means_resolution():
+    # its rule's window, the mean +- 8.5 sd, would round to the mean alone
+    with pytest.raises(ValueError, match="resolution of the mean"):
+        TruncatedGaussian(0.5, 1.5, 1e-20)
+    assert TruncatedGaussian(0.5, 1.5, 1e-15).quadrature()[0].size == 39
+
+
+@pytest.mark.parametrize(
+    "law",
+    [TruncatedGaussian(0.0, 2.0, 0.7), TruncatedGaussian(0.0, 3.0, 0.2), UniformLaw(0.0, 2.0), UniformLaw(0.0, 0.5)],
+    ids=["tg", "tg-narrow", "uniform", "uniform-short"],
+)
+def test_window_touching_zero_keeps_sixty_four_nodes(law):
+    # no Bernstein ellipse avoids the pole at v = 0: the rule is the
+    # 64-node rule on the whole window, bit for bit
+    x, w = age_model._gl_on(law.v_min, law.v_max, 64)
+    w = w * law.density(x) if isinstance(law, TruncatedGaussian) else w / (law.v_max - law.v_min)
+    nodes, weights = law.quadrature()
+    assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, n_gauss, n_uniform",
+    [(0.05, 13, 12), (0.4, 13, 12), (0.5, 14, 14), (0.55, 15, 15), (0.7, 21, 21), (0.8, 27, 27),
+     (0.85, 31, 31), (0.9, 39, 39), (0.95, 56, 56), (0.97, 64, 64), (1.0, 64, 64)],
+)
+def test_rate_rule_size_along_the_contraction(tg, alpha, n_gauss, n_uniform):
+    # the window [1 - alpha, 1 + alpha]: the pole term ln(1/eps) /
+    # (4 atanh sqrt((1 - alpha) / (1 + alpha))), at least 12 nodes and at
+    # most 64; the Gaussian's width term (sd 0.7 alpha) asks 13
+    assert tg.contract(alpha).quadrature()[0].size == n_gauss
+    assert UniformLaw(0.0, 2.0).contract(alpha).quadrature()[0].size == n_uniform
+
+
 def test_truncated_gaussian_mass_matches_scipy_erf():
     # the window's Gaussian mass erf(beta / sqrt 2), beta its half-width in
     # sds, over every beta the constructor accepts up to where it is 1
@@ -592,7 +679,7 @@ def test_constant_time_hazard_invariance(tg):
     "hazard, inv_speed, match",
     [(lambda a, v: a - 0.5, lambda a, v: 1.0 / v, "hazard must be finite and non-negative: -0.49"),
      (lambda a, v: np.where(a > 2.0, np.nan, 1.0), lambda a, v: 1.0 / v, "hazard .*: nan at age 2.0"),
-     (lambda a, v: np.where(v > 1.2, -1.0, 1.0) + 0.0 * a, lambda a, v: 1.0 / v, "-1.0 at age .* v = 1.20"),
+     (lambda a, v: np.where(v > 1.2, -1.0, 1.0) + 0.0 * a, lambda a, v: 1.0 / v, "-1.0 at age .* v = {v}$"),
      (lambda a, v: np.where(a > 0.7, np.inf, 1.0), lambda a, v: 1.0 / v, "hazard .*: inf at age 0.75"),
      (lambda a, v: np.ones_like(a), lambda a, v: np.where(a < 0.5, -1.0, 1.0 / v),
       "inv_speed must be finite and positive: -1.0 at age 5.2"),
@@ -601,9 +688,12 @@ def test_constant_time_hazard_invariance(tg):
 )
 def test_general_solver_rejects_invalid_hazard_and_speed(tg, hazard, inv_speed, match):
     # the error names the quantity, the rate node and the age, before any
-    # root solve or the search for the tail
-    with pytest.raises(ValueError, match=match):
-        malthus_general(hazard, inv_speed, AlphaFamily(tg, 0.5).law())
+    # root solve or the search for the tail; {v} is the first rate node of
+    # the law's rule above 1.2, the first node where the hazard is negative
+    law = AlphaFamily(tg, 0.5).law()
+    nodes = law.quadrature()[0]
+    with pytest.raises(ValueError, match=match.format(v=re.escape(repr(float(nodes[nodes > 1.2][0]))))):
+        malthus_general(hazard, inv_speed, law)
 
 
 def test_general_solver_accepts_a_hazard_infinite_only_at_zero():
