@@ -18,11 +18,11 @@ for the resolvent and its slope, and others for the alpha-derivatives.
 Integrals over the rates take one Gauss-Legendre rule on the window of
 rho, of 12 to 64 nodes sized by the law itself: by how far the window
 sits from the pole of exp(-lambda a / v) at v = 0 and, for a truncated
-Gaussian, by its width (:func:`_window_rule`).  The closed forms of the
-constant rate are test oracles only.  Integrals up to each node (the
-accumulated hazard of the general form) come from the rule's
-antiderivative matrix, and the eigenvector tails from a table cut at the
-user's grid ages, built per call.
+Gaussian, by its width (:func:`_window_rule`); a law builds its rule once
+and keeps it.  The closed forms of the constant rate are test oracles
+only.  Integrals up to each node (the accumulated hazard of the general
+form) come from the rule's antiderivative matrix, and the eigenvector
+tails from a table cut at the user's grid ages, built per call.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -89,7 +89,12 @@ _BLOCK = 1 << 16  # elements of the resolvent's scratch block of f_B-table rows
 
 class _DivisionRate:
     """What every division rate B shares: S = exp(-int_0^a B), f_B = B S,
-    and by default support [0, inf) with no terminal atom and no kinks."""
+    and by default support [0, inf) with no terminal atom and no kinks.
+
+    What a solve needs of the rate alone is built on first use and kept on
+    it, read-only: the kept rows of its f_B table (``_fb``) and the
+    resolvent's row weights over them (``_resolvent_rows``).  Nothing is
+    built when the rate is made, so making one costs no quadrature."""
 
     support_start = 0.0
     support_end = math.inf
@@ -109,10 +114,24 @@ class _DivisionRate:
         on the rate, read-only, for every later solve and derivative."""
         a, w = _fb_table(self)
         keep = _kept_rows(w)
-        arrays = (a[keep], w[keep])
-        for x in arrays:
-            x.setflags(write=False)
-        return arrays
+        return _read_only(a[keep], w[keep])
+
+    @functools.cached_property
+    def _resolvent_rows(self) -> tuple:
+        """(rows, sums): the row weights 2 w and 2 w a of the resolvent and
+        its slope over the kept f_B table, stacked, and their two sums, the
+        resolvent's value and slope factor at lambda = 0 (:func:`_exp_sums`);
+        kept on the rate, read-only, for every solve on it, whatever law."""
+        a, w = self._fb
+        rows = np.asarray((2.0 * w, 2.0 * w * a))
+        return _read_only(rows, rows.sum(axis=1))
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, flagged read-only: they are kept and shared."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -323,10 +342,7 @@ def _legendre(n: int) -> tuple:
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first
     use and shared read-only; the cache holds every size the panels and
     the rate windows (12 to 64 nodes) use."""
-    x, w = leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(*leggauss(n))
 
 
 def _gl_on(a, b, n: int = 16):
@@ -380,6 +396,13 @@ class _Window(_RateLaw):
     def support(self) -> tuple:
         return (self.v_min, self.v_max)
 
+    def quadrature(self):
+        """Rate nodes and weights: the law's rule (``_rule``), built on the
+        first call and kept on the law object, read-only, so every later
+        solve on it reads the same arrays.  Being no field, the rule leaves
+        ``==``, ``hash`` and ``repr`` of the law as they were."""
+        return self._rule
+
     def _contract(self, alpha: float):
         m = self.mean
         return self._on_window(m - alpha * (m - self.v_min), m + alpha * (self.v_max - m), alpha)
@@ -425,7 +448,8 @@ class TruncatedGaussian(_Window):
         pdf = np.exp(-0.5 * z * z) / (self.sigma_eta * math.sqrt(2.0 * math.pi) * self._mass)
         return np.where((v >= self.v_min) & (v <= self.v_max), pdf, 0.0)
 
-    def quadrature(self):
+    @functools.cached_property
+    def _rule(self) -> tuple:
         """Rate nodes and weights: :func:`_window_rule` on the window, cut
         to mean +- sqrt(2 ln(1/eps)) sigma (~8.5 sigma) where it is wider,
         as the density falls below eps of its peak there.  The width term
@@ -441,7 +465,7 @@ class TruncatedGaussian(_Window):
             n for n in itertools.count(_GL_FLOOR) if n * math.log(8.0 * n * s2 / math.e) + 0.25 / s2 >= _LN_EPS
         )
         x, w = _window_rule(lo, hi, width)
-        return x, w * self.density(x)
+        return _read_only(x, w * self.density(x))
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "TruncatedGaussian":
         return TruncatedGaussian(lo, hi, alpha * self.sigma_eta)
@@ -463,10 +487,11 @@ class UniformLaw(_Window):
             0.0,
         )
 
-    def quadrature(self):
+    @functools.cached_property
+    def _rule(self) -> tuple:
         """Rate nodes and weights: :func:`_window_rule` on the window."""
         x, w = _window_rule(self.v_min, self.v_max)
-        return x, w / (self.v_max - self.v_min)
+        return _read_only(x, w / (self.v_max - self.v_min))
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "UniformLaw":
         return UniformLaw(lo, hi)
@@ -553,13 +578,23 @@ class AlphaFamily:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _ladder() -> np.ndarray:
+    """The 73 geometric steps 10^(-9 + k/8), k <= 72, of every graded run
+    of panels; built on first use, not at import, and shared read-only."""
+    geo = np.logspace(-9.0, 0.0, 9 * 8 + 1)
+    geo.setflags(write=False)
+    return geo
+
+
 def _panel_edges(end: float, graded: Iterable[float], splits: Iterable[float] = ()) -> np.ndarray:
     """Panel edges on [0, end]: geometric to the right of every point of
-    ``graded`` (nine decades, eight panels each), plain cuts at ``splits``.
-    Grading toward a point resolves both the boundary layers
-    exp(-K (a - g)) of every rate K at once and an onset (a - g)^beta."""
+    ``graded`` (nine decades, eight panels each, the shared ``_ladder``),
+    plain cuts at ``splits``.  Grading toward a point resolves both the
+    boundary layers exp(-K (a - g)) of every rate K at once and an onset
+    (a - g)^beta."""
     graded = [g for g in graded if 0.0 <= g < end]
-    geo = np.logspace(-9.0, 0.0, 9 * 8 + 1)
+    geo = _ladder()
     pieces = [[0.0, end], graded, [k for k in splits if 0.0 < k < end]]
     pieces += [g + (end - g) * geo for g in graded]
     return np.unique(np.concatenate(pieces))
@@ -650,21 +685,27 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _exp_sums(rows, cols, row_w, col_w) -> Callable[[float], tuple]:
+def _exp_sums(rows, cols, row_w, col_w, row_sums=None) -> Callable[[float], tuple]:
     """lambda -> the K sums  sum_i row_w[k, i] sum_j col_w[k, j]
     exp(lambda rows_i cols_j),  k < K: the module's one sum of exponentials
     over an f_B table (its nodes the ``rows``).  The exponent table rows x
     cols is built once; at lambda = 0 every exponential is 1, and each sum
-    is the product of its two weight sums.
+    is the product of its two weight sums (``row_sums``, if the caller
+    keeps them, is row_w.sum(axis=1)).
 
     The exponentials are taken a block of rows at a time, in one scratch
     block of about ``_BLOCK`` elements reused by every evaluation: a fresh
     array per evaluation costs more in page faults than the exponentials
     themselves, and a table-sized one as much memory as the exponent table.
-    Each row's sums over the columns, and the sums over the rows, are taken
-    in the same order whatever the block size, so no sum depends on it."""
+    One einsum contracts each block with all K weight columns at once,
+    summing each row over the columns in the same order as an einsum per
+    column would, bit for bit.  Each row's sums over the columns, and the
+    sums over the rows, are taken in the same order whatever the block
+    size, so no sum depends on it."""
     row_w, col_w = np.asarray(row_w, dtype=float), np.asarray(col_w, dtype=float)
-    at_zero = tuple((row_w.sum(axis=1) * col_w.sum(axis=1)).tolist())
+    if row_sums is None:
+        row_sums = row_w.sum(axis=1)
+    at_zero = tuple((row_sums * col_w.sum(axis=1)).tolist())
     table = np.multiply.outer(rows, cols)
     n, step = len(table), max(1, _BLOCK // table.shape[1])
     blk = np.empty((min(step, n), table.shape[1]))
@@ -677,8 +718,7 @@ def _exp_sums(rows, cols, row_w, col_w) -> Callable[[float], tuple]:
             part = blk[: min(step, n - i)]
             np.multiply(table[i : i + step], lam, out=part)
             np.exp(part, out=part)
-            for out, w in zip(per_row, col_w):
-                np.einsum("ij,j->i", part, w, out=out[i : i + step])
+            np.einsum("ij,kj->ki", part, col_w, out=per_row[:, i : i + step])
         # a pairwise sum over the rows: an einsum's running sum would leave
         # ~1e-15 of rounding noise in H on a table of 20 000 rows
         np.multiply(per_row, row_w, out=per_row)
@@ -692,10 +732,14 @@ def _resolvent_factory(B, law) -> Callable[[float], tuple]:
     exp(-lambda a / v) f_B(a) rho(v) dv da over the rate's kept f_B table
     and the rate nodes (:func:`_exp_sums`); the slope -2 iint (a / v)
     exp(-lambda a / v) f_B rho sums the same exponentials with the weights
-    of rho over v and those of f_B times a."""
+    of rho over v and those of f_B times a.  What the rate fixes, its table
+    and row weights with their sums, is kept on the rate, and a window law
+    keeps its rule; only the exponent table and the column weights, which
+    pair the two, are built per call."""
     nodes, weights = law.quadrature()
-    a, w = B._fb
-    return _exp_sums(a, -1.0 / nodes, (2.0 * w, 2.0 * w * a), (weights, -weights / nodes))
+    a, _ = B._fb
+    rows, sums = B._resolvent_rows
+    return _exp_sums(a, -1.0 / nodes, rows, (weights, -weights / nodes), sums)
 
 
 def malthus_reference(B, v_bar: float, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:

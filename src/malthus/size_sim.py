@@ -510,10 +510,10 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
     is alive.  Attempt k of a cell is a pure function of (cell base, k), so
     a block gives the same bits as K single attempts; draws past a cell's
     first acceptance are discarded.  The walk is built in place: ``step *
-    E``, with ``cum`` added to the first row and then each row to the next,
-    which adds in the same order as one attempt at a time.  The cells
-    still alive are compacted through one index, taken by all five state
-    arrays.
+    E``, with ``cum`` added to the first row, then summed down the rows by
+    one ``np.cumsum``, which adds in the same order as one attempt at a
+    time.  The cells still alive are compacted through one index, taken by
+    all five state arrays.
 
     Under beta = 0 the acceptance x_b/s decays like 1/k while the candidate
     s grows linearly with the attempts k, so about k^(-1/v) of cells
@@ -542,8 +542,7 @@ def _division_sizes_thinning(div: SizeDivisionRate, bases: np.ndarray, x_b: np.n
         walk = -np.log(open_uniforms_at(b, cnt))
         walk *= step
         walk[0] += cum
-        for j in range(1, K):
-            walk[j] += walk[j - 1]
+        np.cumsum(walk, axis=0, out=walk)
         cand = div.inverse_cumulative(walk)
         hit, first = _first_accepted(uniforms_at(b, cnt + np.uint64(1)) * cand < xb, cand)
         out[idx[hit]] = first

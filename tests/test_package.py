@@ -97,6 +97,26 @@ def test_antiderivative_matrix_is_built_once_on_first_use():
     assert Q.shape == (17, 16) and not Q.flags.writeable
 
 
+def test_import_and_new_rates_and_laws_build_no_quadrature():
+    # every rule, table and ladder is built on first use: built at import
+    # or with the object, it would count in every process's set-up time
+    code = """
+import functools, gc
+import malthus, malthus.cli
+from malthus import age_model as am
+grid = [0.0, 0.5, 1.0]
+made = [am.PowerLagRate(0.25, 1.0), am.ConstantRate(1.0), am.TabulatedRate(grid, grid),
+        am.UniformLaw(0.0, 2.0).contract(0.5), am.AlphaFamily(am.TruncatedGaussian(0.0, 2.0, 0.7), 0.5).law(),
+        am.DiscreteMixture([(0.5, 0.5), (1.5, 0.5)])]
+def kept(x):
+    return {n for c in type(x).__mro__ for n, v in vars(c).items() if isinstance(v, functools.cached_property)}
+objs = [x for x in gc.get_objects() if isinstance(x, (am._DivisionRate, am._RateLaw))]
+print([f.cache_info().currsize for f in (am._legendre, am._ladder, am._antiderivative_matrix)],
+      all(map(kept, made[:5])), len(objs) >= len(made), sorted({n for x in objs for n in kept(x) & vars(x).keys()}))
+"""
+    assert fresh_python(code) == "[0, 0, 0] True True []"
+
+
 def test_benchmark_tracer_finds_and_restores_every_target():
     # bench/tracing.py patches package names from outside; a deleted or
     # renamed target breaks install, and uninstall must undo every patch
