@@ -18,11 +18,11 @@ for the resolvent and its slope, and others for the alpha-derivatives.
 Integrals over the rates take one Gauss-Legendre rule on the window of
 rho, of 12 to 64 nodes sized by the law itself: by how far the window
 sits from the pole of exp(-lambda a / v) at v = 0 and, for a truncated
-Gaussian, by its width (:func:`_window_rule`); a law builds its rule once
-and keeps it.  The closed forms of the constant rate are test oracles
-only.  Integrals up to each node (the accumulated hazard of the general
-form) come from the rule's antiderivative matrix, and the eigenvector
-tails from a table cut at the user's grid ages, built per call.
+Gaussian, by its width (:func:`_window_rule`).  The closed forms of the
+constant rate are test oracles only.  Integrals up to each node (the
+accumulated hazard of the general form) come from the rule's
+antiderivative matrix, and the eigenvector tails from a table cut at the
+user's grid ages, built per call.
 
 The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
@@ -117,14 +117,14 @@ class _DivisionRate:
         return _read_only(a[keep], w[keep])
 
     @functools.cached_property
-    def _resolvent_rows(self) -> tuple:
-        """(rows, sums): the row weights 2 w and 2 w a of the resolvent and
-        its slope over the kept f_B table, stacked, and their two sums, the
-        resolvent's value and slope factor at lambda = 0 (:func:`_exp_sums`);
-        kept on the rate, read-only, for every solve on it, whatever law."""
+    def _resolvent_rows(self) -> np.ndarray:
+        """The row weights 2 w and 2 w a of the resolvent and its slope
+        over the kept f_B table, stacked (:func:`_exp_sums`); kept on the
+        rate, read-only, for every solve on it, whatever the law."""
         a, w = self._fb
         rows = np.asarray((2.0 * w, 2.0 * w * a))
-        return _read_only(rows, rows.sum(axis=1))
+        rows.setflags(write=False)
+        return rows
 
 
 def _read_only(*arrays) -> tuple:
@@ -396,13 +396,6 @@ class _Window(_RateLaw):
     def support(self) -> tuple:
         return (self.v_min, self.v_max)
 
-    def quadrature(self):
-        """Rate nodes and weights: the law's rule (``_rule``), built on the
-        first call and kept on the law object, read-only, so every later
-        solve on it reads the same arrays.  Being no field, the rule leaves
-        ``==``, ``hash`` and ``repr`` of the law as they were."""
-        return self._rule
-
     def _contract(self, alpha: float):
         m = self.mean
         return self._on_window(m - alpha * (m - self.v_min), m + alpha * (self.v_max - m), alpha)
@@ -448,8 +441,7 @@ class TruncatedGaussian(_Window):
         pdf = np.exp(-0.5 * z * z) / (self.sigma_eta * math.sqrt(2.0 * math.pi) * self._mass)
         return np.where((v >= self.v_min) & (v <= self.v_max), pdf, 0.0)
 
-    @functools.cached_property
-    def _rule(self) -> tuple:
+    def quadrature(self):
         """Rate nodes and weights: :func:`_window_rule` on the window, cut
         to mean +- sqrt(2 ln(1/eps)) sigma (~8.5 sigma) where it is wider,
         as the density falls below eps of its peak there.  The width term
@@ -465,7 +457,7 @@ class TruncatedGaussian(_Window):
             n for n in itertools.count(_GL_FLOOR) if n * math.log(8.0 * n * s2 / math.e) + 0.25 / s2 >= _LN_EPS
         )
         x, w = _window_rule(lo, hi, width)
-        return _read_only(x, w * self.density(x))
+        return x, w * self.density(x)
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "TruncatedGaussian":
         return TruncatedGaussian(lo, hi, alpha * self.sigma_eta)
@@ -487,11 +479,10 @@ class UniformLaw(_Window):
             0.0,
         )
 
-    @functools.cached_property
-    def _rule(self) -> tuple:
+    def quadrature(self):
         """Rate nodes and weights: :func:`_window_rule` on the window."""
         x, w = _window_rule(self.v_min, self.v_max)
-        return _read_only(x, w / (self.v_max - self.v_min))
+        return x, w / (self.v_max - self.v_min)
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "UniformLaw":
         return UniformLaw(lo, hi)
@@ -685,13 +676,12 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _exp_sums(rows, cols, row_w, col_w, row_sums=None) -> Callable[[float], tuple]:
+def _exp_sums(rows, cols, row_w, col_w) -> Callable[[float], tuple]:
     """lambda -> the K sums  sum_i row_w[k, i] sum_j col_w[k, j]
     exp(lambda rows_i cols_j),  k < K: the module's one sum of exponentials
     over an f_B table (its nodes the ``rows``).  The exponent table rows x
     cols is built once; at lambda = 0 every exponential is 1, and each sum
-    is the product of its two weight sums (``row_sums``, if the caller
-    keeps them, is row_w.sum(axis=1)).
+    is the product of its two weight sums.
 
     The exponentials are taken a block of rows at a time, in one scratch
     block of about ``_BLOCK`` elements reused by every evaluation: a fresh
@@ -703,9 +693,7 @@ def _exp_sums(rows, cols, row_w, col_w, row_sums=None) -> Callable[[float], tupl
     sums over the rows, are taken in the same order whatever the block
     size, so no sum depends on it."""
     row_w, col_w = np.asarray(row_w, dtype=float), np.asarray(col_w, dtype=float)
-    if row_sums is None:
-        row_sums = row_w.sum(axis=1)
-    at_zero = tuple((row_sums * col_w.sum(axis=1)).tolist())
+    at_zero = tuple((row_w.sum(axis=1) * col_w.sum(axis=1)).tolist())
     table = np.multiply.outer(rows, cols)
     n, step = len(table), max(1, _BLOCK // table.shape[1])
     blk = np.empty((min(step, n), table.shape[1]))
@@ -732,14 +720,12 @@ def _resolvent_factory(B, law) -> Callable[[float], tuple]:
     exp(-lambda a / v) f_B(a) rho(v) dv da over the rate's kept f_B table
     and the rate nodes (:func:`_exp_sums`); the slope -2 iint (a / v)
     exp(-lambda a / v) f_B rho sums the same exponentials with the weights
-    of rho over v and those of f_B times a.  What the rate fixes, its table
-    and row weights with their sums, is kept on the rate, and a window law
-    keeps its rule; only the exponent table and the column weights, which
-    pair the two, are built per call."""
+    of rho over v and those of f_B times a.  What the rate alone fixes, its
+    table and row weights, is kept on the rate; the law's rule, the
+    exponent table and the column weights are built per call."""
     nodes, weights = law.quadrature()
     a, _ = B._fb
-    rows, sums = B._resolvent_rows
-    return _exp_sums(a, -1.0 / nodes, rows, (weights, -weights / nodes), sums)
+    return _exp_sums(a, -1.0 / nodes, B._resolvent_rows, (weights, -weights / nodes))
 
 
 def malthus_reference(B, v_bar: float, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:

@@ -288,11 +288,11 @@ def test_f_b_table_is_built_once_per_rate(tg, monkeypatch):
     assert builds == [B]
 
 
-def test_kept_tables_rules_and_ladder_are_read_only(tg):
+def test_kept_tables_and_ladder_are_read_only(tg):
     B = witness_rate()
     malthus_with_variability(B, tg)
-    kept = [*B._fb, *B._resolvent_rows, *tg.quadrature(), *UniformLaw(0.5, 1.5).quadrature(), age_model._ladder()]
-    assert len(kept) == 9
+    kept = [*B._fb, B._resolvent_rows, age_model._ladder()]
+    assert len(kept) == 4
     for x in kept:
         assert not x.flags.writeable
         with pytest.raises(ValueError):
@@ -314,64 +314,18 @@ def test_warm_rate_solves_as_a_fresh_equal_rate(tg, make):
     assert dlambda_dalpha(warm, AlphaFamily(tg, 0.5)) == dlambda_dalpha(make(), AlphaFamily(tg, 0.5))
 
 
-WINDOW_LAWS = [lambda: TruncatedGaussian(0.4, 1.6, 0.42), lambda: UniformLaw(0.4, 1.6)]
-
-
-@pytest.mark.parametrize("make_law", WINDOW_LAWS, ids=["tg", "uniform"])
-@pytest.mark.parametrize("make_rate", [lambda: PowerLagRate(0.25, 1.0), lambda: PowerLagRate(2.0, 1.0), witness_rate],
-                         ids=["beta0.25", "beta2", "witness"])
-def test_warm_law_solves_as_a_fresh_equal_law(make_law, make_rate):
-    # a second solve on one law object reads its kept rule: lambda, H and
-    # H' bit for bit those of a fresh equal law
-    B, warm = make_rate(), make_law()
-    first = malthus_with_variability(B, warm)
-    assert "_rule" in vars(warm)
-    fresh = make_law()
-    lam = malthus_with_variability(B, warm)
-    assert lam == first == malthus_with_variability(B, fresh)
-    for x in (0.0, 0.5 * lam, lam, 2.0 * lam):
-        assert age_model._resolvent_factory(B, warm)(x) == age_model._resolvent_factory(B, fresh)(x)
-
-
-@pytest.mark.parametrize("make_law", WINDOW_LAWS, ids=["tg", "uniform"])
-def test_kept_rule_leaves_the_laws_identity(make_law):
-    from malthus.size_sim import Memoryless, SimConfig, SizeDivisionRate
-
-    warm, fresh = make_law(), make_law()
-    before = (repr(warm), hash(warm), SimConfig(SizeDivisionRate(), kernel=Memoryless(warm)).digest)
-    warm.quadrature()
-    assert "_rule" in vars(warm) and "_rule" not in vars(fresh)
-    assert warm == fresh and (repr(warm), hash(warm)) == (repr(fresh), hash(fresh)) == before[:2]
-    assert SimConfig(SizeDivisionRate(), kernel=Memoryless(warm)).digest == before[2]
-
-
-def test_window_rule_is_built_once_per_law(monkeypatch):
-    # a curve of five alphas, then dlambda/dalpha at each: one rule per
-    # contracted law of the curve, one per law that dlambda_dalpha
-    # contracts, and the baseline's once, where each call built it anew
-    windows = []
-    build = age_model._window_rule
-    monkeypatch.setattr(age_model, "_window_rule", lambda *args: windows.append(args[:2]) or build(*args))
-    B, baseline, alphas = PowerLagRate(2.0, 1.0), TruncatedGaussian(0.0, 2.0, 0.7), [0.1, 0.3, 0.5, 0.7, 0.9]
-    cv_curve(B, baseline, alphas)
-    assert len(windows) == 5
-    for alpha in alphas:
-        dlambda_dalpha(B, AlphaFamily(baseline, alpha))
-    assert len(windows) == 11 and windows.count((0.0, 2.0)) == 1
-
-
 def test_one_contraction_per_block_sums_as_one_column_at_a_time(tg):
     # the witness under the 64-node baseline rule: 5939 x 64 elements, six
     # blocks of 1024 rows
     B = witness_rate()
     nodes, weights = tg.quadrature()
     a, _ = B._fb
-    rows, sums = B._resolvent_rows
+    rows = B._resolvent_rows
     assert nodes.size == 64 and a.size * nodes.size > 2 * age_model._BLOCK
     cols, col_w = -1.0 / nodes, np.asarray((weights, -weights / nodes))
     table = np.multiply.outer(a, cols)
     step = age_model._BLOCK // nodes.size
-    sums_of = age_model._exp_sums(a, cols, rows, col_w, sums)
+    sums_of = age_model._exp_sums(a, cols, rows, col_w)
     # one row's weight alone reads that row's column sums bit for bit,
     # which a sum over all rows would round away
     picked = np.unique(np.r_[0, step - 1, step, np.linspace(0, a.size - 1, 20).astype(int), a.size - 1])
