@@ -56,8 +56,6 @@ from .size_sim import (
     TreeResult,
     UniformAsymmetric,
     biomass_at,
-    lifetime,
-    sample_division_size,
     simulate_tree,
 )
 
@@ -96,14 +94,12 @@ __all__ = [
     "eigen_pair",
     "estimator_sd_comparison",
     "find_root_decreasing",
-    "lifetime",
     "malthus_general",
     "malthus_hat_biomass",
     "malthus_hat_count",
     "malthus_reference",
     "malthus_with_variability",
     "monte_carlo",
-    "sample_division_size",
     "sign_condition",
     "simulate_tree",
     "__version__",

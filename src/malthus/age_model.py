@@ -556,10 +556,6 @@ class AlphaFamily:
         return self.baseline.contract(self.alpha)
 
     @property
-    def mean(self) -> float:
-        return self.baseline.mean
-
-    @property
     def cv(self) -> float:
         return self.alpha * self.baseline.cv
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -95,7 +96,11 @@ def malthus_hat_count(tree: TreeResult, T: Optional[float] = None, t1: Optional[
 def _check_run(m_trees: int, seed: int, estimator: str = "biomass") -> int:
     """Check the tree count, seed and statistic of a Monte Carlo run before
     any tree runs; return its workers, MALTHUS_THREADS (unset or blank: 1)."""
-    if m_trees < 2:
+    try:
+        m = operator.index(m_trees)  # 3.0, 2.5 or NaN raise here, not in range()
+    except TypeError:
+        raise TypeError(f"the tree count must be an integer, got {m_trees!r}") from None
+    if m < 2:
         raise ValueError(f"need at least 2 trees, got {m_trees!r}")
     RngStream(seed)  # the seed's rule lives there
     if estimator not in ("biomass", "count"):

@@ -48,8 +48,6 @@ __all__ = [
     "SimConfig",
     "CellRecord",
     "TreeResult",
-    "sample_division_size",
-    "lifetime",
     "simulate_tree",
     "group_measures",
     "biomass_at",
@@ -259,15 +257,10 @@ class TreeResult:
     parent.  A cell is a leaf iff its division time is >= the horizon.
     """
 
-    __slots__ = (
-        "config", "seed", "stream_index",
-        "parent", "bit", "b", "zeta", "xi", "tau", "d", "division_size",
-    )
+    __slots__ = ("config", "parent", "bit", "b", "zeta", "xi", "tau", "d", "division_size")
 
-    def __init__(self, config, seed, stream_index, parent, bit, b, zeta, xi, tau, d, division_size):
+    def __init__(self, config, parent, bit, b, zeta, xi, tau, d, division_size):
         self.config = config
-        self.seed = seed
-        self.stream_index = stream_index
         self.parent = parent
         self.bit = bit
         self.b = b
@@ -409,31 +402,11 @@ def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot sample from rate law {type(law).__name__}")
 
 
-def sample_division_size(division: SizeDivisionRate, birth_size, u):
-    """Division size for a per-unit-size hazard, by inverse transform.
-
-    With E = -ln(1-u), the size s solves cumulative(s) - cumulative(birth)
-    = E, giving s = x0 + ((beta+1) E + (birth - x0)_+^{beta+1})^{1/(beta+1)}.
-    Accepts scalars or arrays (broadcast).  Scalars are evaluated as
-    one-element arrays, so a scalar gives the same bits as the same values
-    inside an array, and as the simulator.
-    """
-    if division.mode != "unit_size":
-        raise ValueError("sample_division_size applies to the per-unit-size hazard")
-    scalar = np.ndim(birth_size) == 0 and np.ndim(u) == 0
-    x_b = np.atleast_1d(np.asarray(birth_size, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all(x_b > 0.0):
-        raise ValueError("birth size must be positive")
-    if not np.all((0.0 <= u) & (u < 1.0)):
-        raise ValueError("u must lie in [0, 1)")
-    s = _inverse_from(division, x_b, -np.log1p(-u))
-    return float(s[0]) if scalar else s
-
-
 def _inverse_from(division: SizeDivisionRate, x_b, E):
     """Solve cumulative(s) - cumulative(x_b) = E for s (E >= 0), over
-    arrays of at least one dimension.
+    arrays of at least one dimension: s = x0 + ((beta+1) E +
+    (x_b - x0)_+^{beta+1})^{1/(beta+1)}, the per-unit-size hazard's inverse
+    transform with E = -ln(1-u).
 
     The head (x_b - x0)_+^{beta+1} is raised to the power only where
     x_b > x0 (or is NaN, which propagates): pow takes about twice as long
@@ -448,23 +421,9 @@ def _inverse_from(division: SizeDivisionRate, x_b, E):
     return division.x0 + (bp1 * E + head) ** (1.0 / bp1)
 
 
-def lifetime(growth, birth_size, division_size, v):
-    """Time to grow from birth_size to division_size at rate v."""
-    x_b = np.asarray(birth_size, dtype=float)
-    s = np.asarray(division_size, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.all(s >= x_b):
-        raise ValueError("division size below birth size violates monotone growth")
-    if not np.all(v > 0.0):
-        raise ValueError("rate must be positive")
-    out = _lifetime(growth, x_b, s, v)
-    if out.shape == ():
-        return float(out)
-    return out
-
-
 def _lifetime(growth, x_b: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`lifetime` without its checks, for arrays the sampler made."""
+    """Time to grow from birth size x_b to division size s at rate v, over
+    the arrays the sampler made (s >= x_b > 0 and v > 0 by construction)."""
     if isinstance(growth, Exponential):
         return np.log(s / x_b) / v
     if isinstance(growth, Linear):
@@ -480,7 +439,7 @@ def _lifetime(growth, x_b: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarr
 def _division_sizes(config: SimConfig, bases: np.ndarray, x_b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized division sizes, dispatching on hazard accounting and growth.
 
-    Inverse transform (:func:`sample_division_size`) for the per-unit-size
+    Inverse transform (:func:`_inverse_from`) for the per-unit-size
     hazard and, with E scaled, for the per-unit-time hazard under linear
     growth; thinning for the per-unit-time hazard under exponential growth.
     """
@@ -693,7 +652,7 @@ def simulate_tree(config: SimConfig, rng: RngStream) -> TreeResult:
         bit.append(np.repeat(np.asarray([0, 1], dtype=np.int8), p_idx.size))
         first += d.size
     columns = [np.concatenate(c) for c in zip(*generations)]
-    return TreeResult(config, rng.seed, rng.stream_index, np.concatenate(parent), np.concatenate(bit), *columns)
+    return TreeResult(config, np.concatenate(parent), np.concatenate(bit), *columns)
 
 
 def group_measures(config: SimConfig, streams, times) -> list:

@@ -1,6 +1,8 @@
 """Growth-exponent estimators and their Monte Carlo aggregation."""
+import concurrent.futures
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +220,27 @@ def test_malformed_seed_raises_before_any_tree(monkeypatch, seed):
         with pytest.raises((ValueError, TypeError)) as got:
             call()
         assert "tree on stream" not in str(got.value)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("m_trees", [3.0, 2.5, math.nan])
+def test_non_integer_tree_count_raises_before_any_tree(monkeypatch, threads, m_trees):
+    # taken as an integer at the boundary, not found out later by range()
+    # after a process pool was built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree ran or a pool was built")
+
+    monkeypatch.setattr(estimator, "group_measures", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setenv("MALTHUS_THREADS", threads)
+    base = make_config(alpha=1.0, horizon=5.0)
+    for call in (
+        lambda: cv_table(base, [(0.4, 5.0), (0.2, 4.0)], m_trees=m_trees, seed=9),
+        lambda: monte_carlo(base, m_trees=m_trees, seed=9),
+        lambda: estimator_sd_comparison(base, [4.0, 5.0], m_trees=m_trees, seed=9),
+    ):
+        with pytest.raises(TypeError, match=f"tree count must be an integer, got {re.escape(repr(m_trees))}"):
+            call()
 
 
 @pytest.mark.parametrize("threads, m_trees, groups", [("1", 8, [2] * 4), ("1", 40, [10] * 4), ("2", 40, [5] * 8)])

@@ -2,6 +2,7 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,30 @@ def test_all_lists_every_public_import_and_resolves():
     public = {name for name in imported if not name.startswith("_")}
     assert public - set(malthus.__all__) == set()
     assert [name for name in malthus.__all__ if not hasattr(malthus, name)] == []
+
+
+def test_every_exported_function_is_used_outside_the_tests():
+    # no export that only tests use: each function in __all__ is named in
+    # another module of the package, a driver in scripts/, the benchmark in
+    # bench/, or a code span of the README.  Result and config classes are
+    # exempt
+    pkg = Path(malthus.__file__).resolve().parent
+    repo = pkg.parent.parent
+    readme = (repo / "README.md").read_text()
+    fenced = re.compile(r"```.*?```", flags=re.S)
+    spans = fenced.findall(readme) + re.findall(r"`[^`\n]+`", fenced.sub("", readme))
+    outside = [p.read_text() for d in ("scripts", "bench") for p in (repo / d).glob("*.py")] + spans
+    modules = {p.stem: p.read_text() for p in pkg.glob("*.py") if p.name != "__init__.py"}
+    unused = []
+    for name in malthus.__all__:
+        obj = getattr(malthus, name)
+        if not callable(obj) or isinstance(obj, type):
+            continue
+        home = obj.__module__.rpartition(".")[2]
+        texts = [text for stem, text in modules.items() if stem != home] + outside
+        if not any(re.search(rf"\b{name}\b", text) for text in texts):
+            unused.append(name)
+    assert unused == []
 
 
 def fresh_python(code):

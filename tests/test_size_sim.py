@@ -29,8 +29,6 @@ from malthus.size_sim import (
     Symmetric,
     UniformAsymmetric,
     biomass_at,
-    lifetime,
-    sample_division_size,
     simulate_tree,
 )
 from malthus.size_sim import (
@@ -41,6 +39,7 @@ from malthus.size_sim import (
     _draw_rates,
     _first_accepted,
     _inverse_from,
+    _lifetime,
 )
 
 TG = TruncatedGaussian(0.0, 2.0, 0.7)
@@ -73,43 +72,36 @@ def make_config(alpha=0.4, horizon=6.0, growth=None, split=None, kernel=None, **
 # --- division-size samplers ----------------------------------------------------
 
 
+def division_size(div, x_b, u):
+    """The simulator's inverse transform of one uniform u at birth size x_b."""
+    return float(_inverse_from(div, np.asarray([x_b]), np.asarray([-math.log1p(-u)]))[0])
+
+
 def test_division_size_closed_form():
     div = SizeDivisionRate(1.0, 2.0, "unit_size")
     for u in (0.0, 0.1, 0.5, 0.9, 0.999):
         e = -math.log1p(-u)
         expect = 1.0 + (3.0 * e + 1.0) ** (1.0 / 3.0)
-        assert abs(sample_division_size(div, 2.0, u) - expect) < 1e-12
+        assert abs(division_size(div, 2.0, u) - expect) < 1e-12
     # birth below the hazard threshold: cumulative starts at x0
     for u in (0.3, 0.7):
         e = -math.log1p(-u)
         expect = 1.0 + (3.0 * e) ** (1.0 / 3.0)
-        assert abs(sample_division_size(div, 0.5, u) - expect) < 1e-12
+        assert abs(division_size(div, 0.5, u) - expect) < 1e-12
 
 
 @given(st.floats(0.0, 0.999999), st.floats(0.0, 0.999999))
 @settings(deadline=None, max_examples=60)
 def test_division_size_is_inverse_cdf(u1, u2):
     div = SizeDivisionRate(1.0, 1.5, "unit_size")
-    s1 = sample_division_size(div, 1.3, u1)
-    s2 = sample_division_size(div, 1.3, u2)
+    s1 = division_size(div, 1.3, u1)
+    s2 = division_size(div, 1.3, u2)
     assert s1 >= 1.3 - 1e-9 and s2 >= 1.3 - 1e-9
     if u1 < u2:
         assert s1 <= s2 + 1e-12
     # round trip through the cumulative hazard
     e = div.cumulative(s1) - div.cumulative(1.3)
     assert abs(e + math.log1p(-u1)) < 1e-9
-
-
-def test_division_size_validation():
-    div = SizeDivisionRate(1.0, 2.0, "unit_size")
-    with pytest.raises(ValueError):
-        sample_division_size(div, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        sample_division_size(div, 2.0, -0.1)
-    with pytest.raises(ValueError):
-        sample_division_size(div, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        sample_division_size(SizeDivisionRate(1.0, 2.0, "unit_time"), 2.0, 0.5)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 3.7])
@@ -127,37 +119,13 @@ def test_inverse_from_matches_clipped_power(beta):
     assert np.array_equal(_inverse_from(div, x_b.reshape(5, -1), E.reshape(5, -1)), expect.reshape(5, -1))
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 3.7])
-def test_scalar_division_size_equals_array_entry(beta):
-    # a scalar call gives the bits the same values get inside an array
-    div = SizeDivisionRate(1.0, beta, "unit_size")
-    rng = np.random.default_rng(int(10 * beta) + 1)
-    x_b = np.concatenate([[0.2, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)], rng.uniform(0.1, 3.0, 996)])
-    u = rng.uniform(0.0, 1.0, x_b.size)
-    s = sample_division_size(div, x_b, u)
-    scalars = [sample_division_size(div, x, v) for x, v in zip(x_b.tolist(), u.tolist())]
-    assert all(type(v) is float for v in scalars)
-    assert np.array_equal(scalars, s)
-
-
 def test_division_size_propagates_nan_birth_size():
     # the simulator's inverse: a NaN birth size gives a NaN division size
-    # and leaves its neighbours alone (the public sampler rejects it)
+    # and leaves its neighbours alone
     div = SizeDivisionRate(1.0, 2.0, "unit_size")
     s = _inverse_from(div, np.asarray([0.5, math.nan, 1.5]), np.full(3, -math.log1p(-0.3)))
     assert math.isnan(s[1]) and np.isfinite(s[[0, 2]]).all()
-    assert s[0] == sample_division_size(div, 0.5, 0.3) and s[2] == sample_division_size(div, 1.5, 0.3)
-
-
-def test_samplers_reject_nan_inputs():
-    div = SizeDivisionRate(1.0, 2.0, "unit_size")
-    for x_b, u in ((math.nan, 0.5), (1.0, math.nan), ([0.5, math.nan], 0.5), (1.0, [0.2, math.nan])):
-        with pytest.raises(ValueError):
-            sample_division_size(div, x_b, u)
-    for x_b, s, v in ((1.0, 2.0, math.nan), (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, [1.0, math.nan])):
-        for growth in (Exponential(), Linear()):
-            with pytest.raises(ValueError):
-                lifetime(growth, x_b, s, v)
+    assert s[0] == division_size(div, 0.5, 0.3) and s[2] == division_size(div, 1.5, 0.3)
 
 
 def test_unit_time_sampler_matches_quadrature_cdf():
@@ -175,13 +143,11 @@ def test_unit_time_sampler_matches_quadrature_cdf():
 
 
 def test_lifetime_closed_forms():
-    assert abs(lifetime(Exponential(), 1.5, 3.0, 2.0) - math.log(2.0) / 2.0) < 1e-15
-    assert abs(lifetime(Linear(), 1.5, 3.0, 0.5) - 3.0) < 1e-15
-    assert lifetime(Exponential(), 2.0, 2.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        lifetime(Exponential(), 2.0, 1.9, 1.0)
-    with pytest.raises(ValueError):
-        lifetime(Exponential(), 1.0, 2.0, 0.0)
+    x_b, s, v = np.asarray([1.5, 1.5, 2.0]), np.asarray([3.0, 3.0, 2.0]), np.asarray([2.0, 0.5, 1.0])
+    exp, lin = _lifetime(Exponential(), x_b, s, v), _lifetime(Linear(), x_b, s, v)
+    assert abs(exp[0] - math.log(2.0) / 2.0) < 1e-15
+    assert abs(lin[1] - 3.0) < 1e-15
+    assert exp[2] == 0.0 and lin[2] == 0.0
 
 
 def test_growth_laws_size_at():
@@ -415,7 +381,8 @@ def test_redraw_budget_edge(monkeypatch):
             _division_sizes(cfg, bases, x_b, np.ones(50))
     monkeypatch.setattr(size_sim, "_REDRAW_BUDGET", 6)
     got = _division_sizes(make_config(division=div), bases, x_b, np.ones(50))
-    assert np.array_equal(got, sample_division_size(div, x_b, u))
+    E = -np.log1p(-u)
+    assert np.array_equal(got, 1.0 + (3.0 * E + np.maximum(x_b - 1.0, 0.0) ** 3.0) ** (1.0 / 3.0))
 
 
 def test_thinning_passes_stay_few(monkeypatch):
