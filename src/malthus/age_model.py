@@ -11,8 +11,9 @@ Every age integral uses the 16-point Gauss-Legendre rule on geometrically
 graded panels.  Integrals against the division-age law go through one
 table, built once per division rate and kept on it: panels graded toward 0
 and toward the onset of the support and cut at the kinks of B, weighted by
-f_B (terminal atom included); a small cell that the kinks cut from a
-graded panel takes a rule of 8 or 4 points.  One evaluator sums
+f_B (terminal atom included) and refined until it holds the law's exact
+mass; a small cell that the kinks cut from a graded panel takes a rule of
+8 or 4 points.  One evaluator sums
 exp(-lambda a / v) over its nodes and a set of rates v: the nodes of rho
 for the resolvent and its slope, and others for the alpha-derivatives.
 Integrals over the rates take one Gauss-Legendre rule on the window of
@@ -28,7 +29,9 @@ The module provides the division-rate variants, the rate laws together
 with their mean-preserving contraction family (same mean, CV scaled by
 alpha), eigenvalue solvers including the general hazard/speed form with
 its explicit eigenvectors, a monotonicity classifier for f_B, and the
-first/second perturbation derivatives of lambda in alpha.
+first/second perturbation derivatives of lambda in alpha.  Every root
+solve runs :func:`find_root_decreasing` at its default tolerance,
+|H - 1| <= 1e-10; no solver takes one of its own.
 """
 from __future__ import annotations
 
@@ -42,9 +45,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from .numerics import (
-    DEFAULT_ROOT_TOL,
     TAIL_EPS,
-    Tolerance,
     find_root_decreasing,
     integrate,  # unused here; bench/tracing.py wraps it by this module's name
 )
@@ -75,6 +76,8 @@ _GL_FLOOR = 12  # fewest nodes of a rate window's Gauss rule
 _LN_EPS = -math.log(np.finfo(np.float64).eps)  # ln(1/eps): a rate rule aims at float64 precision
 _SIGN_SAMPLES = 4096  # midpoints at which sign_condition reads B' - B^2
 _BLOCK = 1 << 16  # elements of the resolvent's scratch block of f_B-table rows
+_MASS_TOL = 1e-12  # most an f_B table's mass may miss 1 - S(end) by
+_MAX_HALVINGS = 40  # most rounds of panel halving that an f_B table may take
 
 # Sums over quadrature tables use np.einsum, never `@`: OpenBLAS runs every
 # product above a few thousand elements on all cores, and between the many
@@ -630,7 +633,14 @@ def _fb_table(B, ages: Sequence[float] = ()):
     B.cutoff(TAIL_EPS * S(ages[-1])), so the tail past the grid keeps the
     same relative accuracy.  Every panel of such a table takes 16 points:
     each age starts a boundary layer exp(-K (s - a)), which a short rule on
-    a kink cell right after the age would not resolve."""
+    a kink cell right after the age would not resolve.
+
+    The table's mass, atom included, must match 1 - S(end) to _MASS_TOL.
+    A hazard so steep that f_B rises and falls within one panel (a power
+    beta above about 10) misses it; then every panel whose rule
+    misses the panel's own mass S(lo) - S(hi) by more than its share of
+    _MASS_TOL is halved, 16 points a half, until the table passes.  One
+    that still fails after _MAX_HALVINGS rounds raises ValueError."""
     graded, eps = {0.0, float(B.support_start)}, TAIL_EPS
     if len(ages):
         graded.add(float(ages[-1]))
@@ -644,14 +654,26 @@ def _fb_table(B, ages: Sequence[float] = ()):
         parent = _panel_edges(end, graded)
         share = (hi - lo) / np.diff(parent)[np.searchsorted(parent, lo, side="right") - 1]
         n = np.where(share > 1 / 4, 16, np.where(share > 1 / 16, 8, 4))
-    first = np.cumsum(n) - n  # each panel's first row, in panel order
-    a, g = np.empty(n.sum()), np.empty(n.sum())
-    for k in (16, 8, 4):
-        on = n == k
-        rows = first[on, None] + np.arange(k)
-        a[rows], g[rows] = _gl_on(lo[on, None], hi[on, None], k)
-    w = g * B.density(a)
-    atom = float(B.atom_mass)
+    atom, mass = float(B.atom_mass), 1.0 - float(B.survival(end))
+    for halvings in itertools.count():
+        first = np.cumsum(n) - n  # each panel's first row, in panel order
+        a, g = np.empty(n.sum()), np.empty(n.sum())
+        for k in (16, 8, 4):
+            on = n == k
+            rows = first[on, None] + np.arange(k)
+            a[rows], g[rows] = _gl_on(lo[on, None], hi[on, None], k)
+        w = g * B.density(a)
+        miss = float(w.sum()) + atom - mass
+        if abs(miss) <= _MASS_TOL:
+            break
+        if halvings == _MAX_HALVINGS:
+            raise ValueError(f"the division-age law of {B!r} keeps missing {miss!r} of its mass")
+        s = np.exp(-B.cumulative(edges))  # no atom: S(lo) - S(hi) is f_B's mass on a panel
+        bad = np.abs(np.add.reduceat(w, first) - (s[:-1] - s[1:])) > _MASS_TOL / n.size
+        at = np.flatnonzero(bad) + 1
+        n = np.insert(np.where(bad, 16, n), at, 16)
+        edges = np.insert(edges, at, 0.5 * (lo + hi)[bad])
+        lo, hi = edges[:-1], edges[1:]
     if atom > 0.0:
         a = np.append(a, B.support_end)
         w = np.append(w, atom)
@@ -724,12 +746,12 @@ def _resolvent_factory(B, law) -> Callable[[float], tuple]:
     return _exp_sums(a, -1.0 / nodes, B._resolvent_rows, (weights, -weights / nodes))
 
 
-def malthus_reference(B, v_bar: float, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
+def malthus_reference(B, v_bar: float) -> float:
     """Growth exponent when every cell ages at exactly v_bar."""
-    return find_root_decreasing(_resolvent_factory(B, Dirac(v_bar)), 1.0, tol)
+    return find_root_decreasing(_resolvent_factory(B, Dirac(v_bar)), 1.0)
 
 
-def malthus_with_variability(B, rho, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
+def malthus_with_variability(B, rho) -> float:
     """Growth exponent under an aging-rate law rho (Dirac reduces to the
     reference value)."""
     lo, _ = rho.support
@@ -737,14 +759,13 @@ def malthus_with_variability(B, rho, tol: Tolerance = DEFAULT_ROOT_TOL) -> float
         # zero-rate cells never divide and merely dilute the integrand,
         # which the quadrature handles, but negative rates are nonsense
         raise ValueError("rate law must be supported on [0, inf)")
-    return find_root_decreasing(_resolvent_factory(B, rho), 1.0, tol)
+    return find_root_decreasing(_resolvent_factory(B, rho), 1.0)
 
 
 def malthus_general(
     hazard: Callable,
     inv_speed: Callable,
     rho,
-    tol: Tolerance = DEFAULT_ROOT_TOL,
     kink_ages: Sequence[float] = (),
 ) -> float:
     """Growth exponent for a general age-and-rate hazard.
@@ -847,7 +868,7 @@ def malthus_general(
         np.exp(buf, out=buf)
         return 2.0 * float(np.einsum("i,i->", wh, buf)), -2.0 * float(np.einsum("i,i->", whp, buf))
 
-    return find_root_decreasing(H, 1.0, tol)
+    return find_root_decreasing(H, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +894,7 @@ class EigenPair:
     kappa_prime: float
 
 
-def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> EigenPair:
+def eigen_pair(B, rho, a_nodes, v_nodes) -> EigenPair:
     """Evaluate the explicit eigenvectors on a user grid.
 
     The normalizations come from the resolvent at its root lambda:
@@ -898,7 +919,7 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
         raise ValueError("grid extends past representable survival")
 
     H = _resolvent_factory(B, rho)
-    lam = find_root_decreasing(H, 1.0, tol)
+    lam = find_root_decreasing(H, 1.0)
     # 1 = kappa iint (rho/v) exp(-lam a/v) S = kappa (1 - H(lam)/2) / lam, as
     # S' = -f_B, and 1 = kappa kappa' iint (rho/v) a exp(-lam a/v) f_B =
     # -kappa kappa' H'(lam) / 2, where H(lam) = 1 at the root
@@ -934,20 +955,20 @@ def eigen_pair(B, rho, a_nodes, v_nodes, tol: Tolerance = DEFAULT_ROOT_TOL) -> E
 # ---------------------------------------------------------------------------
 
 
-def dlambda_dalpha(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
+def dlambda_dalpha(B, fam: AlphaFamily) -> float:
     """d lambda / d alpha along the contraction family, at fam.alpha.
 
     Ratio of the two mixed moments of the division-age law under the
     contracted rates; tends to 0 as alpha -> 0.
     """
-    return _lambda_and_slope(B, fam, tol)[1]
+    return _lambda_and_slope(B, fam)[1]
 
 
-def _lambda_and_slope(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) -> tuple:
+def _lambda_and_slope(B, fam: AlphaFamily) -> tuple:
     """(lambda, d lambda / d alpha) at fam.alpha, from one root solve."""
     if not isinstance(fam, AlphaFamily):
         raise TypeError("fam must be an AlphaFamily")
-    lam = malthus_with_variability(B, fam.law(), tol)
+    lam = malthus_with_variability(B, fam.law())
     nodes, weights = fam.baseline.quadrature()
     m = fam.baseline.mean
     u = fam.alpha * (nodes - m) + m
@@ -956,7 +977,7 @@ def _lambda_and_slope(B, fam: AlphaFamily, tol: Tolerance = DEFAULT_ROOT_TOL) ->
     return lam, lam * d2 / d1
 
 
-def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
+def d2lambda_at_zero(B, baseline) -> float:
     """Second derivative of alpha -> lambda at alpha = 0 (the first vanishes).
 
     Equals sigma^2 / v_bar^2 times a ratio of exponential moments of the
@@ -968,7 +989,7 @@ def d2lambda_at_zero(B, baseline, tol: Tolerance = DEFAULT_ROOT_TOL) -> float:
     if var == 0.0:
         return 0.0
     m = baseline.mean
-    lam = malthus_reference(B, m, tol)
+    lam = malthus_reference(B, m)
     a, w = B._fb
     sa = (lam / m) * a
     num, den = _exp_sums(a, [-1.0 / m], (w * sa * (sa - 2.0), w * a / m), [[1.0], [1.0]])(lam)
@@ -1005,7 +1026,7 @@ class CurveRow:
     status: str = "ok"
 
 
-def cv_curve(B, baseline, alphas: Sequence[float], tol: Tolerance = DEFAULT_ROOT_TOL) -> list:
+def cv_curve(B, baseline, alphas: Sequence[float]) -> list:
     """lambda as a function of the contracted CV, sorted by CV.
 
     Includes the CV = 0 anchor (the reference exponent at the baseline
@@ -1014,14 +1035,14 @@ def cv_curve(B, baseline, alphas: Sequence[float], tol: Tolerance = DEFAULT_ROOT
     """
     if baseline.is_degenerate:
         raise ValueError("baseline must be non-degenerate")
-    rows = [CurveRow(0.0, 0.0, malthus_reference(B, baseline.mean, tol))]
+    rows = [CurveRow(0.0, 0.0, malthus_reference(B, baseline.mean))]
     for alpha in alphas:
         alpha = float(alpha)
         if alpha == 0.0:
             continue
         try:
             fam = AlphaFamily(baseline, alpha)
-            lam = malthus_with_variability(B, fam.law(), tol)
+            lam = malthus_with_variability(B, fam.law())
             rows.append(CurveRow(alpha, fam.cv, lam))
         except (ValueError, RuntimeError) as e:  # recorded, not fatal
             rows.append(CurveRow(alpha, alpha * baseline.cv, math.nan, f"error: {type(e).__name__}: {e}"))

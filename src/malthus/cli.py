@@ -424,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # simulation/solver failures
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

@@ -1,8 +1,9 @@
 """Growth-exponent estimation from simulated division trees.
 
 The estimator compares the population at two times: with biomass M_t (or
-the living-cell count N_t) measured at T/2 and T, the statistic
-(2/T) ln(M_T / M_{T/2}) converges to the population growth exponent.
+the living-cell count N_t) measured at T/2 and at the horizon T, the
+statistic (2/T) ln(M_T / M_{T/2}) converges to the population growth
+exponent.
 Monte Carlo repetitions aggregate per-tree values into a mean, a sample
 standard deviation, and an empirical 95% interval chosen to contain at
 least 95% of the per-tree values; worker processes only measure trees.
@@ -61,36 +62,26 @@ class MalthusEstimate:
             raise ValueError("interval misses too many per-tree values")
 
 
-def _measure_times(T: Optional[float], t1: Optional[float], horizon: float) -> tuple:
-    """The validated (T, t1) pair; T defaults to the horizon, t1 to T/2."""
-    T = horizon if T is None else float(T)
-    if not (0.0 < T <= horizon):
-        raise ValueError("T must lie in (0, horizon]")
-    t1 = 0.5 * T if t1 is None else float(t1)
-    if not (0.0 <= t1 < T):
-        raise ValueError("need 0 <= t1 < T")
-    return T, t1
-
-
-def _rate(early, late, T: float, t1: float) -> float:
+def _rate(early, late, T: float) -> float:
+    """(2/T) ln(late / early), from the measures at T/2 and T."""
     if not (early > 0.0 and late > 0.0):
         raise RuntimeError("extinct or horizon mismatch")
-    return math.log(late / early) / (T - t1)
+    return math.log(late / early) / (0.5 * T)
 
 
-def _log_ratio(tree: TreeResult, T: Optional[float], t1: Optional[float], measure) -> float:
-    T, t1 = _measure_times(T, t1, tree.horizon)
-    return _rate(measure(tree, t1), measure(tree, T), T, t1)
+def _log_ratio(tree: TreeResult, measure) -> float:
+    T = tree.horizon
+    return _rate(measure(tree, 0.5 * T), measure(tree, T), T)
 
 
-def malthus_hat_biomass(tree: TreeResult, T: Optional[float] = None, t1: Optional[float] = None) -> float:
-    """(2/T) ln(M_T / M_{T/2}) from one tree; measurement times configurable."""
-    return _log_ratio(tree, T, t1, biomass_at)
+def malthus_hat_biomass(tree: TreeResult) -> float:
+    """(2/T) ln(M_T / M_{T/2}) from one tree, T its horizon."""
+    return _log_ratio(tree, biomass_at)
 
 
-def malthus_hat_count(tree: TreeResult, T: Optional[float] = None, t1: Optional[float] = None) -> float:
+def malthus_hat_count(tree: TreeResult) -> float:
     """Count analog of the biomass statistic, noisier at fixed T."""
-    return _log_ratio(tree, T, t1, lambda tr, t: tr.living_count(t))
+    return _log_ratio(tree, lambda tr, t: tr.living_count(t))
 
 
 def _check_run(m_trees: int, seed: int, estimator: str = "biomass") -> int:
@@ -161,11 +152,11 @@ def _tree_runner(m_trees: int, seed: int, estimator: str = "biomass"):
         yield measure
 
 
-def _statistics(rows: list, times: list, pairs: list) -> np.ndarray:
-    """The (m, len(pairs), 2) biomass and count statistics, for each (T, t1)
-    of ``pairs``, of the m trees measured at ``times``."""
+def _statistics(rows: list, times: list, horizons: Sequence[float]) -> np.ndarray:
+    """The (m, len(horizons), 2) biomass and count statistics, read at each
+    T of ``horizons`` and at T/2, of the m trees measured at ``times``."""
     at = {t: j for j, t in enumerate(times)}
-    return np.asarray([[[_rate(r[at[t1]][k], r[at[T]][k], T, t1) for k in (0, 1)] for T, t1 in pairs] for r in rows])
+    return np.asarray([[[_rate(r[at[0.5 * T]][k], r[at[T]][k], T) for k in (0, 1)] for T in horizons] for r in rows])
 
 
 def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: float) -> MalthusEstimate:
@@ -187,9 +178,10 @@ def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: flo
 
 
 def _estimate(config: SimConfig, estimator: str, offset: int, measure) -> MalthusEstimate:
-    T, t1 = _measure_times(None, None, config.horizon)
-    rows = measure(config, offset, [t1, T])
-    per_tree = _statistics(rows, [t1, T], [(T, t1)])[:, 0, ("biomass", "count").index(estimator)]
+    T = config.horizon
+    times = [0.5 * T, T]
+    rows = measure(config, offset, times)
+    per_tree = _statistics(rows, times, [T])[:, 0, ("biomass", "count").index(estimator)]
     pops = np.asarray([r[1][1] for r in rows])
     return _summarize(config, per_tree, pops, T)
 
@@ -254,14 +246,15 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     horizons = tuple(float(T) for T in horizons)
     if not horizons:
         raise ValueError("need at least one horizon")
+    if not all(0.0 < T < math.inf for T in horizons):  # NaN fails it too
+        raise ValueError(f"horizons must be positive and finite, got {horizons!r}")
     # expanded to the largest horizon, not the config's: a longer tree
     # would be measured where no statistic reads it
     config = replace(config, horizon=max(horizons))
-    pairs = [_measure_times(T, None, config.horizon) for T in horizons]
-    times = sorted({t for pair in pairs for t in pair})
+    times = sorted({t for T in horizons for t in (0.5 * T, T)})
     with _tree_runner(m_trees, seed) as measure:
         rows = measure(config, 0, times)
-    arr = _statistics(rows, times, pairs)  # (m, len(horizons), 2)
+    arr = _statistics(rows, times, horizons)  # (m, len(horizons), 2)
     out = []
     for j, T in enumerate(horizons):
         out.append(

@@ -405,6 +405,36 @@ def test_graded_panels_keep_sixteen_nodes(B):
             assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("lag", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [15.0, 50.0, 200.0])
+def test_steep_power_hazard_matches_quadpack(beta, lag):
+    # f_B rises and falls within ~1/beta of its mode, inside one graded
+    # panel, and the table halves panels until it holds the law's mass.
+    # The oracle runs in u = int_0^a B, where f_B da = exp(-u) du has no
+    # spike; measured at the parent: 1.2e-10, 4e-5 and "no positive root"
+    k = 1.0 / (beta + 1.0)
+
+    def H(lam):
+        def g(u):
+            return math.exp(-u - lam * (lag + ((beta + 1.0) * u) ** k))
+
+        return 2.0 * sum(quad(g, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+
+    oracle = brentq(lambda lam: H(lam) - 1.0, 0.01, 5.0, xtol=1e-14)
+    B = PowerLagRate(beta, lag)
+    a, w = age_model._fb_table(B)
+    assert np.all(np.diff(a) > 0.0)
+    assert abs(w.sum() - (1.0 - B.survival(B.cutoff()))) <= 1e-12
+    assert abs(malthus_reference(B, 1.0) - oracle) <= 1e-10
+
+
+def test_hazard_too_steep_to_tabulate_raises_naming_the_rate():
+    # f_B within ~3e-14 of age 1: halving a panel 40 times cannot reach it
+    B = PowerLagRate(1e15, 0.0)
+    with pytest.raises(ValueError, match=re.escape(repr(B))):
+        malthus_reference(B, 1.0)
+
+
 @pytest.mark.parametrize("n", [5, 50, 2000])
 def test_tables_cut_at_grid_ages_keep_sixteen_nodes(n):
     B = tabulated_power_lag(n)

@@ -341,6 +341,18 @@ def test_seeds_and_streams_past_2_64_are_config_errors(tmp_path, monkeypatch, ca
     assert not any(tmp_path.iterdir())
 
 
+def test_failed_run_names_its_exception_type(tmp_path, monkeypatch, capsys):
+    # exit code 1, and the message keeps the type and the failing stream
+    def fail(config, streams, times):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("malthus.estimator.group_measures", fail)
+    out = tmp_path / "x.csv"
+    assert main(["estimator-compare", "--horizons", "4", "--m", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: tree on stream 0 failed: boom\n"
+    assert not out.exists()
+
+
 def test_size_mc_alpha_zero_first_row_keeps_baseline(tmp_path):
     # the table's baseline is the configured law, not the first row's law
     out = tmp_path / "t.csv"

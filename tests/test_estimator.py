@@ -54,22 +54,19 @@ def test_biomass_estimator_matches_hand_computation():
     tree = simulate_tree(make_config(horizon=6.0), RngStream(7, 0))
     expect = math.log(biomass_at(tree, 6.0) / biomass_at(tree, 3.0)) / 3.0
     assert malthus_hat_biomass(tree) == expect
-    expect2 = math.log(biomass_at(tree, 5.0) / biomass_at(tree, 1.0)) / 4.0
-    assert malthus_hat_biomass(tree, T=5.0, t1=1.0) == expect2
-    n5, n2 = tree.living_count(5.0), tree.living_count(2.5)
-    assert malthus_hat_count(tree, T=5.0) == math.log(n5 / n2) / 2.5
+    n6, n3 = tree.living_count(6.0), tree.living_count(3.0)
+    assert malthus_hat_count(tree) == math.log(n6 / n3) / 3.0
 
 
-def test_measurement_time_validation():
-    tree = simulate_tree(make_config(horizon=6.0), RngStream(7, 1))
-    with pytest.raises(ValueError, match="horizon"):
-        malthus_hat_biomass(tree, T=20.0)
-    with pytest.raises(ValueError):
-        malthus_hat_biomass(tree, T=0.0)
-    with pytest.raises(ValueError):
-        malthus_hat_biomass(tree, T=5.0, t1=5.0)
-    with pytest.raises(ValueError):
-        malthus_hat_biomass(tree, T=5.0, t1=-0.5)
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("statistic, hat", [("biomass", malthus_hat_biomass), ("count", malthus_hat_count)])
+def test_monte_carlo_per_tree_is_the_tree_statistic(monkeypatch, threads, statistic, hat):
+    # tree j of a run is the tree on stream (seed, j), its statistic read by
+    # the per-tree estimator, bit for bit at one worker and two
+    monkeypatch.setenv("MALTHUS_THREADS", threads)
+    cfg = make_config(alpha=0.4, horizon=6.0)
+    est = monte_carlo(cfg, m_trees=6, seed=11, estimator=statistic)
+    assert est.per_tree == tuple(hat(simulate_tree(cfg, RngStream(11, j))) for j in range(6))
 
 
 def test_identical_rates_recover_rate_exactly():
