@@ -16,6 +16,8 @@ mass; a small cell that the kinks cut from a graded panel takes a rule of
 8 or 4 points.  One evaluator sums
 exp(-lambda a / v) over its nodes and a set of rates v: the nodes of rho
 for the resolvent and its slope, and others for the alpha-derivatives.
+Its exponent table is rate-node-major, the table nodes contiguous along
+each rate, and its sums over the table nodes are pairwise.
 Integrals over the rates take one Gauss-Legendre rule on the window of
 rho, of 12 to 64 nodes sized by the law itself: by how far the window
 sits from the pole of exp(-lambda a / v) at v = 0 and, for a truncated
@@ -184,12 +186,20 @@ class PowerLagRate(_DivisionRate):
         return (self.lag,) if self.lag > 0.0 else ()
 
     def hazard(self, a):
+        """B(a), exactly 0 up to the lag, NaN at a NaN age.  The power is
+        taken only past the lag: but for beta 0.5, 1 and 2, pow costs about
+        three times as much on a zero base as on a positive one, and gives
+        exactly 0 there."""
         a = np.asarray(a, dtype=float)
-        t = np.maximum(a - self.lag, 0.0)
-        out = t ** self.beta
         if self.beta == 0.0:
-            out = np.where(a >= self.lag, 1.0, 0.0)
-        return out
+            return np.where(a >= self.lag, 1.0, 0.0)
+        t = a - self.lag
+        if t.min(initial=math.inf) > 0.0:  # NaN fails it
+            return t ** self.beta
+        live = ~(t <= 0.0)
+        out = np.zeros(t.shape)
+        out[live] = t[live] ** self.beta
+        return out[()]
 
     def hazard_derivative(self, a):
         a = np.asarray(a, dtype=float)
@@ -440,9 +450,13 @@ class TruncatedGaussian(_Window):
 
     def density(self, v):
         v = np.asarray(v, dtype=float)
+        return np.where((v >= self.v_min) & (v <= self.v_max), self._pdf(v), 0.0)
+
+    def _pdf(self, v: np.ndarray) -> np.ndarray:
+        """The density at v inside the window: no mask, as every rule node
+        lies inside it."""
         z = (v - self.mean) / self.sigma_eta
-        pdf = np.exp(-0.5 * z * z) / (self.sigma_eta * math.sqrt(2.0 * math.pi) * self._mass)
-        return np.where((v >= self.v_min) & (v <= self.v_max), pdf, 0.0)
+        return np.exp(-0.5 * z * z) / (self.sigma_eta * math.sqrt(2.0 * math.pi) * self._mass)
 
     def quadrature(self):
         """Rate nodes and weights: :func:`_window_rule` on the window, cut
@@ -460,7 +474,7 @@ class TruncatedGaussian(_Window):
             n for n in itertools.count(_GL_FLOOR) if n * math.log(8.0 * n * s2 / math.e) + 0.25 / s2 >= _LN_EPS
         )
         x, w = _window_rule(lo, hi, width)
-        return x, w * self.density(x)
+        return x, w * self._pdf(x)
 
     def _on_window(self, lo: float, hi: float, alpha: float) -> "TruncatedGaussian":
         return TruncatedGaussian(lo, hi, alpha * self.sigma_eta)
@@ -640,7 +654,10 @@ def _fb_table(B, ages: Sequence[float] = ()):
     beta above about 10) misses it; then every panel whose rule
     misses the panel's own mass S(lo) - S(hi) by more than its share of
     _MASS_TOL is halved, 16 points a half, until the table passes.  One
-    that still fails after _MAX_HALVINGS rounds raises ValueError."""
+    that still fails after _MAX_HALVINGS rounds raises ValueError, and so
+    does a law holding at most half its mass before the cutoff, as an
+    extreme power puts its cutoff at the onset in float64: no lambda > 0
+    would solve H(0) = 2 mass <= 1."""
     graded, eps = {0.0, float(B.support_start)}, TAIL_EPS
     if len(ages):
         graded.add(float(ages[-1]))
@@ -655,6 +672,8 @@ def _fb_table(B, ages: Sequence[float] = ()):
         share = (hi - lo) / np.diff(parent)[np.searchsorted(parent, lo, side="right") - 1]
         n = np.where(share > 1 / 4, 16, np.where(share > 1 / 16, 8, 4))
     atom, mass = float(B.atom_mass), 1.0 - float(B.survival(end))
+    if not mass > 0.5:
+        raise ValueError(f"the division-age law of {B!r} holds only {mass!r} of its mass before its cutoff {end!r}")
     for halvings in itertools.count():
         first = np.cumsum(n) - n  # each panel's first row, in panel order
         a, g = np.empty(n.sum()), np.empty(n.sum())
@@ -697,34 +716,37 @@ def _kept_rows(w: np.ndarray) -> np.ndarray:
 def _exp_sums(rows, cols, row_w, col_w) -> Callable[[float], tuple]:
     """lambda -> the K sums  sum_i row_w[k, i] sum_j col_w[k, j]
     exp(lambda rows_i cols_j),  k < K: the module's one sum of exponentials
-    over an f_B table (its nodes the ``rows``).  The exponent table rows x
-    cols is built once; at lambda = 0 every exponential is 1, and each sum
-    is the product of its two weight sums.
+    over an f_B table (its nodes the ``rows``).  The exponent table is
+    built once, rate-node-major: cols x rows, one contiguous run of the
+    f_B rows per column.  At lambda = 0 every exponential is 1, and each
+    sum is the product of its two weight sums.
 
     The exponentials are taken a block of rows at a time, in one scratch
     block of about ``_BLOCK`` elements reused by every evaluation: a fresh
     array per evaluation costs more in page faults than the exponentials
     themselves, and a table-sized one as much memory as the exponent table.
     One einsum contracts each block with all K weight columns at once,
-    summing each row over the columns in the same order as an einsum per
-    column would, bit for bit.  Each row's sums over the columns, and the
-    sums over the rows, are taken in the same order whatever the block
-    size, so no sum depends on it."""
+    streaming over the rows once per column (a short dot per row took up
+    to a quarter longer), and sums each row over the columns in the same
+    order as an einsum per column would, bit for bit.  Each row's sums
+    over the columns, and the sums over the rows, are taken in the same
+    order whatever the block size, so no sum depends on it."""
     row_w, col_w = np.asarray(row_w, dtype=float), np.asarray(col_w, dtype=float)
     at_zero = tuple((row_w.sum(axis=1) * col_w.sum(axis=1)).tolist())
-    table = np.multiply.outer(rows, cols)
-    n, step = len(table), max(1, _BLOCK // table.shape[1])
-    blk = np.empty((min(step, n), table.shape[1]))
+    table = np.multiply.outer(cols, rows)
+    m, n = table.shape
+    step = max(1, _BLOCK // m)
+    blk = np.empty((m, min(step, n)))
     per_row = np.empty(row_w.shape)
 
     def sums(lam: float) -> tuple:
         if lam == 0.0:
             return at_zero
         for i in range(0, n, step):
-            part = blk[: min(step, n - i)]
-            np.multiply(table[i : i + step], lam, out=part)
+            part = blk[:, : min(step, n - i)]
+            np.multiply(table[:, i : i + step], lam, out=part)
             np.exp(part, out=part)
-            np.einsum("ij,kj->ki", part, col_w, out=per_row[:, i : i + step])
+            np.einsum("kj,ji->ki", col_w, part, out=per_row[:, i : i + step])
         # a pairwise sum over the rows: an einsum's running sum would leave
         # ~1e-15 of rounding noise in H on a table of 20 000 rows
         np.multiply(per_row, row_w, out=per_row)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .age_model import TruncatedGaussian
 from .numerics import RngStream
 # simulate_tree is not called here: the benchmark's tracer (bench/tracing.py)
 # wraps estimator.simulate_tree, so the name stays importable
@@ -127,17 +128,24 @@ def _trees_job(config: SimConfig, seed: int, offset: int, times: list, trees: ra
 
 
 @contextlib.contextmanager
-def _tree_runner(m_trees: int, seed: int, estimator: str = "biomass"):
+def _tree_runner(m_trees: int, seed: int, law, estimator: str = "biomass"):
     """Check the run, then yield ``measure(config, offset, times)``: the
     measures of the trees on streams offset..offset+m_trees-1 in tree order,
     from :func:`_trees_job` on groups of max(1, m_trees // (4 k)) trees, in
-    this process at k = 1 worker, else on one pool of k workers."""
+    this process at k = 1 worker, else on one pool of k workers.  ``law``
+    is the run's kernel law: a truncated Gaussian's rate draws need
+    scipy.special, which a pool loads once, here, before it forks."""
     workers = _check_run(m_trees, seed, estimator)
     pool, mapper = contextlib.nullcontext(), map
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, logging, socket,
         # subprocess) add ~20 ms to every import of the package
         from concurrent.futures import ProcessPoolExecutor
+
+        if isinstance(law, TruncatedGaussian):
+            # each forked worker would otherwise import it (~0.2 s) on its
+            # first Gaussian draw
+            import scipy.special
 
         pool = ProcessPoolExecutor(max_workers=workers)
         mapper = pool.map
@@ -189,7 +197,7 @@ def _estimate(config: SimConfig, estimator: str, offset: int, measure) -> Malthu
 def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "biomass") -> MalthusEstimate:
     """Simulate ``m_trees`` independent trees on streams (seed, 0..m-1) and
     aggregate the per-tree statistics."""
-    with _tree_runner(m_trees, seed, estimator) as measure:
+    with _tree_runner(m_trees, seed, config.kernel.law, estimator) as measure:
         return _estimate(config, estimator, 0, measure)
 
 
@@ -221,7 +229,7 @@ def cv_table(
     """
     baseline = base.kernel.law
     out = []
-    with _tree_runner(m_trees, seed, estimator) as measure:
+    with _tree_runner(m_trees, seed, baseline, estimator) as measure:
         for i, (alpha, T) in enumerate(rows):
             alpha = float(alpha)
             cv = alpha * baseline.cv
@@ -252,7 +260,7 @@ def estimator_sd_comparison(config: SimConfig, horizons: Sequence[float], m_tree
     # would be measured where no statistic reads it
     config = replace(config, horizon=max(horizons))
     times = sorted({t for T in horizons for t in (0.5 * T, T)})
-    with _tree_runner(m_trees, seed) as measure:
+    with _tree_runner(m_trees, seed, config.kernel.law) as measure:
         rows = measure(config, 0, times)
     arr = _statistics(rows, times, horizons)  # (m, len(horizons), 2)
     out = []

@@ -56,6 +56,33 @@ def test_contraction_scales_cv_linearly(tg):
         assert law.contract(0.0) == Dirac(law.mean)
 
 
+@pytest.mark.parametrize("lag", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 2.0, 3.0, 7.0])
+def test_power_lag_hazard_is_the_clipped_power(beta, lag):
+    # pow is left out up to the lag, where it gives exactly 0; the values
+    # are those of the plain clipped power, bit for bit
+    B = PowerLagRate(beta, lag)
+    a = np.append(np.linspace(lag - 1.0, lag + 2.0, 301), [lag, np.nextafter(lag, -1.0), np.nextafter(lag, 2.0), math.nan])
+    ref = np.maximum(a - lag, 0.0) ** beta
+    got = B.hazard(a)
+    assert got.tobytes() == ref.tobytes()
+    assert np.all(got[a <= lag] == 0.0) and math.isnan(got[-1])
+    assert B.hazard(a.reshape(5, 61)).tobytes() == ref.tobytes()
+    assert B.hazard(a[a > lag]).tobytes() == ref[a > lag].tobytes()
+    assert B.hazard(np.empty((0, 3))).shape == (0, 3)
+    for x in (lag - 0.5, lag, lag + 0.5, math.nan):
+        one = B.hazard(x)
+        assert type(one) is np.float64 and one.tobytes() == (np.maximum(np.float64(x) - lag, 0.0) ** beta).tobytes()
+
+
+@pytest.mark.parametrize("lag", [0.0, 1.0])
+def test_power_lag_hazard_at_beta_zero_is_the_onset_step(lag):
+    a = np.array([lag - 0.5, lag, lag + 0.5, math.nan])
+    assert PowerLagRate(0.0, lag).hazard(a).tobytes() == np.array([0.0, 1.0, 1.0, 0.0]).tobytes()
+    one = PowerLagRate(0.0, lag).hazard(lag + 0.5)
+    assert isinstance(one, np.ndarray) and one.shape == () and one == 1.0
+
+
 def test_constant_rate_has_one_field():
     # support, atom and kinks are class-wide defaults, not fields to override
     assert [f.name for f in dataclasses.fields(ConstantRate)] == ["b"]
@@ -229,18 +256,19 @@ def test_resolvent_pruning_moves_h_by_at_most_eps(B, law):
 
 def blockwise_pair(B, law, lams):
     """(H, H') of the kept rows at each of ``lams``, each summed in one
-    pass over the rows: the exponentials weighted by rho, and by rho / v
-    for the slope, then the rows by w and by w a, in a pairwise sum."""
+    pass over the rows: the exponentials, one row per rate node, weighted
+    by rho, and by rho / v for the slope, then the rows by w and by w a,
+    in a pairwise sum."""
     nodes, weights = law.quadrature()
     a, w = age_model._fb_table(B)
     keep = age_model._kept_rows(w)
     a, w = a[keep], w[keep]
-    rate = np.multiply.outer(a, -1.0 / nodes)
+    rate = np.multiply.outer(-1.0 / nodes, a)
     out = []
     for x in lams:
         e = np.exp(rate * x)
-        out.append((2.0 * float(np.sum(w * np.einsum("ij,j->i", e, weights))),
-                    2.0 * float(np.sum(w * a * np.einsum("ij,j->i", e, -weights / nodes)))))
+        out.append((2.0 * float(np.sum(w * np.einsum("j,ji->i", weights, e))),
+                    2.0 * float(np.sum(w * a * np.einsum("j,ji->i", -weights / nodes, e)))))
     return out
 
 
@@ -323,7 +351,7 @@ def test_one_contraction_per_block_sums_as_one_column_at_a_time(tg):
     rows = B._resolvent_rows
     assert nodes.size == 64 and a.size * nodes.size > 2 * age_model._BLOCK
     cols, col_w = -1.0 / nodes, np.asarray((weights, -weights / nodes))
-    table = np.multiply.outer(a, cols)
+    table = np.multiply.outer(cols, a)
     step = age_model._BLOCK // nodes.size
     sums_of = age_model._exp_sums(a, cols, rows, col_w)
     # one row's weight alone reads that row's column sums bit for bit,
@@ -332,9 +360,9 @@ def test_one_contraction_per_block_sums_as_one_column_at_a_time(tg):
     for lam in (0.3, 1.0, 2.5):
         per_row = np.empty(rows.shape)
         for i in range(0, a.size, step):
-            part = np.exp(table[i : i + step] * lam)
+            part = np.exp(table[:, i : i + step] * lam)
             for out, w in zip(per_row, col_w):
-                np.einsum("ij,j->i", part, w, out=out[i : i + step])
+                np.einsum("j,ji->i", w, part, out=out[i : i + step])
         assert sums_of(lam) == tuple((per_row * rows).sum(axis=1).tolist())
         for r in picked:
             one = np.zeros(rows.shape)
@@ -431,6 +459,16 @@ def test_steep_power_hazard_matches_quadpack(beta, lag):
 def test_hazard_too_steep_to_tabulate_raises_naming_the_rate():
     # f_B within ~3e-14 of age 1: halving a panel 40 times cannot reach it
     B = PowerLagRate(1e15, 0.0)
+    with pytest.raises(ValueError, match=re.escape(repr(B))):
+        malthus_reference(B, 1.0)
+
+
+@pytest.mark.parametrize("lag", [0.0, 1.0])
+def test_hazard_whose_cutoff_rounds_to_the_onset_raises_naming_the_rate(lag):
+    # ((beta + 1) ln(1/eps))^(1/(beta + 1)) rounds to 1: S is still 1 at the
+    # cutoff, and the table would hold no mass at all
+    B = PowerLagRate(1e300, lag)
+    assert B.cutoff() == lag + 1.0 and B.survival(B.cutoff()) == 1.0
     with pytest.raises(ValueError, match=re.escape(repr(B))):
         malthus_reference(B, 1.0)
 
@@ -621,6 +659,25 @@ def test_narrow_truncated_gaussian_is_resolved(sigma, n):
     nodes, weights = law.quadrature()
     assert nodes.size == n and abs(weights.sum() - 1.0) <= 1e-14  # measured 2.0e-15
     assert 1.0 - 8.5 * sigma < nodes[0] < nodes[-1] < 1.0 + 8.5 * sigma
+
+
+@pytest.mark.parametrize(
+    "law",
+    [*(TruncatedGaussian(0.0, 2.0, 0.7).contract(alpha) for alpha in (1e-3, 0.3, 1.0)), TruncatedGaussian(0.0, 2.0, 0.05)],
+    ids=["alpha1e-3", "alpha0.3", "alpha1", "cut"],
+)
+def test_gaussian_rule_weighs_its_nodes_by_the_density(law, monkeypatch):
+    # every node lies inside the window, so the density weighs it unmasked
+    # as masked, bit for bit; the last law's rule is cut to 1 +- 8.5 sd
+    rules = []
+    rule = age_model._window_rule
+    monkeypatch.setattr(age_model, "_window_rule", lambda *args: rules.append(rule(*args)) or rules[-1])
+    nodes, weights = law.quadrature()
+    [(x, w)] = rules
+    assert nodes.tobytes() == x.tobytes() and weights.tobytes() == (w * law.density(x)).tobytes()
+    assert law.v_min <= nodes[0] and nodes[-1] <= law.v_max
+    if law.sigma_eta == 0.05:
+        assert 1.0 - 8.5 * law.sigma_eta < nodes[0] < nodes[-1] < 1.0 + 8.5 * law.sigma_eta
 
 
 def test_truncated_gaussian_rejects_an_sd_below_the_means_resolution():

@@ -113,6 +113,18 @@ def test_gaussian_rate_draws_load_scipy_special(tmp_path):
     assert seen.startswith("[[], [") and "'scipy.special'" in seen
 
 
+def test_two_worker_runs_load_scipy_special_before_the_pool_only_for_gaussian_draws(tmp_path):
+    # forked workers inherit what the parent loaded; left to them, each
+    # would import it on its first Gaussian draw, ~0.2 s apiece.  Uniform
+    # draws need no SciPy, in the parent or the workers
+    argv = ["estimator-compare", "--horizons", "4", "--m", "4", "--out", str(tmp_path / "sd.csv")]
+    two_workers = "import os; os.environ['MALTHUS_THREADS'] = '2'\n"
+    seen = fresh_python(two_workers + run_then_list_scipy([argv]))
+    assert seen.startswith("[[], [") and "'scipy.special'" in seen
+    uniform = [*argv, "--set", "baseline=uniform:0.5,1.5"]
+    assert fresh_python(two_workers + run_then_list_scipy([uniform])) == "[[], []]"
+
+
 def test_antiderivative_matrix_is_built_once_on_first_use():
     # built at import it would cost every process ~1 MiB of resident memory
     code = "import malthus, malthus.cli; print(malthus.age_model._antiderivative_matrix.cache_info().currsize)"
