@@ -40,7 +40,6 @@ from .estimator import (
 from .numerics import (
     NonConvergenceError,
     RngStream,
-    Tolerance,
     find_root_decreasing,
 )
 from .size_sim import (
@@ -81,7 +80,6 @@ __all__ = [
     "SizeDivisionRate",
     "Symmetric",
     "TabulatedRate",
-    "Tolerance",
     "TreeResult",
     "TruncatedGaussian",
     "UniformAsymmetric",

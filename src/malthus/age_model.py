@@ -32,7 +32,7 @@ with their mean-preserving contraction family (same mean, CV scaled by
 alpha), eigenvalue solvers including the general hazard/speed form with
 its explicit eigenvectors, a monotonicity classifier for f_B, and the
 first/second perturbation derivatives of lambda in alpha.  Every root
-solve runs :func:`find_root_decreasing` at its default tolerance,
+solve runs :func:`find_root_decreasing` at ``DEFAULT_ROOT_TOL``,
 |H - 1| <= 1e-10; no solver takes one of its own.
 """
 from __future__ import annotations
@@ -46,11 +46,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
-from .numerics import (
-    TAIL_EPS,
-    find_root_decreasing,
-    integrate,  # unused here; bench/tracing.py wraps it by this module's name
-)
+from .numerics import TAIL_EPS, find_root_decreasing
+
+# no solver integrates adaptively; bench/tracing.py wraps this name alone
+integrate = None
 
 __all__ = [
     "ConstantRate",

@@ -3,9 +3,7 @@
 Roots of a positive, decreasing, log-convex function (the age model's
 resolvents) come from Newton's method on its logarithm, started at 0, whose
 iterates increase monotonically to the root; the function supplies its
-slope, and no abscissa is evaluated twice.  ``integrate`` (adaptive
-Simpson, pre-split at declared kink points) is on no solver path: the age
-model integrates with Gauss tables of its own.  Random streams are counter
+slope, and no abscissa is evaluated twice.  Random streams are counter
 based (SplitMix64 style): every draw is a pure function of (seed,
 stream_index, key, counter), so simulations are reproducible regardless of
 evaluation order or thread count.
@@ -15,17 +13,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Tolerance",
     "NonConvergenceError",
-    "DEFAULT_QUAD_TOL",
     "DEFAULT_ROOT_TOL",
     "TAIL_EPS",
-    "integrate",
     "find_root_decreasing",
     "RngStream",
     "uniforms_at",
@@ -36,8 +32,6 @@ __all__ = [
 
 # survival mass below which semi-infinite integrals are truncated
 TAIL_EPS = 1e-13
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class NonConvergenceError(RuntimeError):
@@ -50,119 +44,36 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request.
+    """The root solve's stop test and step budget, the type of
+    ``DEFAULT_ROOT_TOL``.
 
-    A root solve (:func:`find_root_decreasing`, for h > 0 decreasing and
-    log-convex with h(0) > target > 0) returns x only with |h(x) - target|
-    <= ``abs_tol``, within ~8 ulps of the root of the computed h, in at
-    most ``max_iter`` Newton steps; otherwise it raises ValueError (a bad
-    target or h(0), a non-finite value) or NonConvergenceError carrying
-    ``best``.  ``rel_tol`` is read only by :func:`integrate`, which stops
-    at |error| <= abs_tol + rel_tol * |value|."""
+    :func:`find_root_decreasing` (for h > 0 decreasing and log-convex with
+    h(0) > target > 0) returns x only with |h(x) - target| <= ``abs_tol``,
+    within ~8 ulps of the root of the computed h, in at most ``max_iter``
+    Newton steps; otherwise it raises ValueError (a bad target or h(0), a
+    non-finite value) or NonConvergenceError carrying ``best``."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 0.0
     max_iter: int = 60
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise ValueError("abs_tol must be positive and finite")
-        if not (self.rel_tol >= 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be non-negative and finite")
         object.__setattr__(self, "max_iter", operator.index(self.max_iter))  # 2.5 or NaN raise here, not in range()
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
-DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
-DEFAULT_ROOT_TOL = Tolerance(abs_tol=1e-10, rel_tol=0.0, max_iter=120)
-
-_MAX_PANELS = 400_000
+DEFAULT_ROOT_TOL = Tolerance(abs_tol=1e-10, max_iter=120)
 
 
-def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
-    y = np.asarray(f(x), dtype=np.float64)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
-    return y
-
-
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_QUAD_TOL,
-    kinks: Iterable[float] = (),
-) -> float:
-    """Adaptive Simpson quadrature of ``f`` on [a, b].
-
-    ``f`` must accept a numpy array of abscissae and return values of the
-    same shape (scalar returns are broadcast).  Known kink locations are
-    used as initial panel boundaries so the error estimate stays reliable
-    across non-smooth points.  Raises :class:`NonConvergenceError` with the
-    best available estimate if the panel budget runs out.
-    """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError("integrate requires a < b")
-    cuts = [a] + sorted({float(k) for k in kinks if a < float(k) < b}) + [b]
-    lefts = np.asarray(cuts[:-1], dtype=np.float64)
-    rights = np.asarray(cuts[1:], dtype=np.float64)
-    width_total = b - a
-    mids = 0.5 * (lefts + rights)
-    fl = _eval_vec(f, lefts)
-    fm = _eval_vec(f, mids)
-    fr = _eval_vec(f, rights)
-    S = (rights - lefts) / 6.0 * (fl + 4.0 * fm + fr)
-
-    total = 0.0
-    for _ in range(tol.max_iter):
-        lm = 0.5 * (lefts + mids)
-        rm = 0.5 * (mids + rights)
-        flm = _eval_vec(f, lm)
-        frm = _eval_vec(f, rm)
-        h = rights - lefts
-        Sl = h / 12.0 * (fl + 4.0 * flm + fm)
-        Sr = h / 12.0 * (fm + 4.0 * frm + fr)
-        S2 = Sl + Sr
-        err = (S2 - S) / 15.0
-        budget = tol.abs_tol * (h / width_total) + tol.rel_tol * np.abs(S2)
-        # force-accept panels at the width floor (roundoff regime)
-        floor = 64.0 * _EPS * np.maximum(np.maximum(np.abs(lefts), np.abs(rights)), 1.0)
-        done = (np.abs(err) <= budget) | (h <= floor)
-        total += float(np.sum((S2 + err)[done]))
-        keep = ~done
-        if not bool(np.any(keep)):
-            return total
-        lefts = np.concatenate([lefts[keep], mids[keep]])
-        rights = np.concatenate([mids[keep], rights[keep]])
-        new_fl = np.concatenate([fl[keep], fm[keep]])
-        new_fr = np.concatenate([fm[keep], fr[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        fl, fr = new_fl, new_fr
-        mids = 0.5 * (lefts + rights)
-        S = np.concatenate([Sl[keep], Sr[keep]])
-        if lefts.size > _MAX_PANELS:
-            raise NonConvergenceError(
-                "quadrature panel budget exhausted",
-                best=total + float(np.sum(S)),
-            )
-    raise NonConvergenceError(
-        "quadrature did not reach tolerance within max_iter sweeps",
-        best=total + float(np.sum(S)),
-    )
-
-
-def find_root_decreasing(
-    h: Callable[[float], tuple],
-    target: float,
-    tol: Tolerance = DEFAULT_ROOT_TOL,
-) -> float:
+def find_root_decreasing(h: Callable[[float], tuple], target: float) -> float:
     """Solve h(x) = target for h > 0, decreasing and log-convex on [0, inf).
 
     Precondition: ``h(x)`` returns the pair (h(x), h'(x)), with h > 0,
-    decreasing and log-convex on [0, inf), and ``target`` > 0.
+    decreasing and log-convex on [0, inf), and ``target`` > 0.  The stop
+    test ``abs_tol`` = 1e-10 and the budget ``max_iter`` = 120 Newton steps
+    are ``DEFAULT_ROOT_TOL``'s, read at each call; no caller sets them.
 
     Newton's method on log h - log target, started at x = 0.  log h is
     convex, so every tangent meets log target at or before the root: the
@@ -194,6 +105,7 @@ def find_root_decreasing(
     """
     if not target > 0.0:
         raise ValueError("target must be positive")
+    tol = DEFAULT_ROOT_TOL
 
     def at(x: float) -> tuple:
         y, dy = (float(v) for v in h(x))

@@ -1,4 +1,4 @@
-"""Quadrature, root solving, and the counter-based random stream."""
+"""Root solving and the counter-based random stream."""
 import gc
 import math
 import weakref
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import general_resolvent, witness_rate
+from malthus import numerics
 from malthus.age_model import (
     AlphaFamily,
     ConstantRate,
@@ -26,42 +27,9 @@ from malthus.numerics import (
     cell_base,
     child_key,
     find_root_decreasing,
-    integrate,
     open_uniforms_at,
     uniforms_at,
 )
-
-TIGHT = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=60)
-
-
-def test_integrate_smooth():
-    assert abs(integrate(np.sin, 0.0, math.pi, TIGHT) - 2.0) < 1e-12
-
-
-def test_integrate_cubic_is_exact():
-    # Simpson integrates cubics exactly even at the coarsest refinement
-    val = integrate(lambda x: x**3 - 2.0 * x + 1.0, 0.0, 2.0, Tolerance(1e-6, 1e-6, 8))
-    assert abs(val - 2.0) < 1e-13
-
-
-def test_integrate_kink_split():
-    exact = ((1.0 / 3.0) ** 2 + (2.0 / 3.0) ** 2) / 2.0
-    val = integrate(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, TIGHT, kinks=(1.0 / 3.0,))
-    assert abs(val - exact) < 1e-14
-
-
-def test_integrate_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        integrate(np.sin, 1.0, 1.0, TIGHT)
-
-
-@given(st.floats(-3, 3), st.floats(-3, 3))
-@settings(deadline=None, max_examples=40)
-def test_integrate_linear_in_integrand(c1, c2):
-    tol = Tolerance(1e-11, 1e-11, 60)
-    lhs = integrate(lambda x: c1 * np.exp(-x) + c2 * np.cos(x), 0.0, 2.0, tol)
-    rhs = c1 * integrate(lambda x: np.exp(-x), 0.0, 2.0, tol) + c2 * integrate(np.cos, 0.0, 2.0, tol)
-    assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(c1) + abs(c2))
 
 
 def exp_pair(c=2.0, d=1.0):
@@ -70,13 +38,13 @@ def exp_pair(c=2.0, d=1.0):
 
 
 def test_root_exponential():
-    lam = find_root_decreasing(exp_pair(), 1.0, DEFAULT_ROOT_TOL)
+    lam = find_root_decreasing(exp_pair(), 1.0)
     assert abs(lam - math.log(2.0)) < 1e-12
 
 
 def test_root_certificate_brackets_answer():
     H = lambda l: 2.0 / (1.0 + l) ** 2
-    lam = find_root_decreasing(lambda l: (H(l), -4.0 / (1.0 + l) ** 3), 1.0, DEFAULT_ROOT_TOL)
+    lam = find_root_decreasing(lambda l: (H(l), -4.0 / (1.0 + l) ** 3), 1.0)
     assert abs(lam - (math.sqrt(2.0) - 1.0)) < 1e-12
     eps = 1e-6
     assert H(lam - eps) > 1.0 > H(lam + eps)
@@ -93,7 +61,7 @@ def test_root_releases_the_resolvent():
     ref = weakref.ref(h)
     gc.disable()
     try:
-        find_root_decreasing(h, 1.0, DEFAULT_ROOT_TOL)
+        find_root_decreasing(h, 1.0)
         del h
         assert ref() is None
     finally:
@@ -102,7 +70,7 @@ def test_root_releases_the_resolvent():
 
 def test_root_never_crossing_raises():
     with pytest.raises(NonConvergenceError) as info:
-        find_root_decreasing(lambda l: (1.5 + 1.0 / (1.0 + l), -1.0 / ((1.0 + l) * (1.0 + l))), 1.0, DEFAULT_ROOT_TOL)
+        find_root_decreasing(lambda l: (1.5 + 1.0 / (1.0 + l), -1.0 / ((1.0 + l) * (1.0 + l))), 1.0)
     assert math.isfinite(info.value.best)
 
 
@@ -147,7 +115,7 @@ def test_brent_matches_brentq_on_resolvents(case):
     from scipy.optimize import brentq
 
     H = RESOLVENTS[case]()
-    x = find_root_decreasing(H, 1.0, DEFAULT_ROOT_TOL)
+    x = find_root_decreasing(H, 1.0)
     ref = brentq(lambda lam: H(lam)[0] - 1.0, 0.0, 10.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
     assert isinstance(x, float) and abs(x - ref) <= ROOT_ULPS * math.ulp(ref)
 
@@ -163,7 +131,7 @@ def test_brent_matches_brentq_on_closed_forms(case, kw):
     h, target, root = CLOSED_FORMS[case]
     spread = math.ulp(target) / -h(root)[1]
     bound = 4.0 * (math.ulp(root) + spread)
-    x = find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
+    x = find_root_decreasing(h, target)
     assert abs(x - root) <= bound
     # brentq's root lies within xtol + rtol |x| of a sign change of the
     # rounded h - target, which itself lies within the spread of the root
@@ -183,7 +151,7 @@ def test_root_evaluates_no_abscissa_twice(h, target):
         seen.append(x)
         return h(x)
 
-    x = find_root_decreasing(recorded, target, DEFAULT_ROOT_TOL)
+    x = find_root_decreasing(recorded, target)
     # the iterates increase strictly, so none repeats
     assert seen[0] == 0.0 and all(a < b for a, b in zip(seen, seen[1:]))
     assert abs(h(x)[0] - target) <= DEFAULT_ROOT_TOL.abs_tol
@@ -192,10 +160,10 @@ def test_root_evaluates_no_abscissa_twice(h, target):
 def test_root_rejects_h0_at_or_below_target():
     for c in (1.0, 0.5):
         with pytest.raises(ValueError, match="h\\(0\\) <= target"):
-            find_root_decreasing(exp_pair(c), 1.0, DEFAULT_ROOT_TOL)
+            find_root_decreasing(exp_pair(c), 1.0)
     for target in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="target must be positive"):
-            find_root_decreasing(exp_pair(), target, DEFAULT_ROOT_TOL)
+            find_root_decreasing(exp_pair(), target)
 
 
 def test_root_rejects_non_finite_values():
@@ -204,16 +172,17 @@ def test_root_rejects_non_finite_values():
     slope = lambda x: (2.0 * math.exp(-x), math.nan if x > 0.5 else -2.0 * math.exp(-x))
     for h in (value, slope):
         with pytest.raises(ValueError, match=f"not finite at x={math.log(2.0)!r}"):
-            find_root_decreasing(h, 1.0, DEFAULT_ROOT_TOL)
+            find_root_decreasing(h, 1.0)
     with pytest.raises(ValueError, match="not finite at x=0.0"):
-        find_root_decreasing(lambda x: (math.inf, -1.0), 1.0, DEFAULT_ROOT_TOL)
+        find_root_decreasing(lambda x: (math.inf, -1.0), 1.0)
 
 
-def test_root_exhaustion_raises_with_best():
+def test_root_exhaustion_raises_with_best(monkeypatch):
     # Newton takes five steps on 2 / (1 + x)^2 = 1; two run out
     h, target, root = CLOSED_FORMS[1]
+    monkeypatch.setattr(numerics, "DEFAULT_ROOT_TOL", Tolerance(abs_tol=1e-10, max_iter=2))
     with pytest.raises(NonConvergenceError, match="within 2 Newton steps") as info:
-        find_root_decreasing(h, target, Tolerance(abs_tol=1e-10, max_iter=2))
+        find_root_decreasing(h, target)
     assert 0.4 < info.value.best < root
 
 
@@ -231,13 +200,13 @@ def test_root_failure_states_the_residual():
     # first step lands at ln 2 with residual 0.75
     h = lambda x: ((2.0 if x < 0.5 else 0.5) * math.exp(-x), -(2.0 if x < 0.5 else 0.5) * math.exp(-x))
     with pytest.raises(NonConvergenceError, match=r"residual 0\.75\b") as info:
-        find_root_decreasing(h, 1.0, DEFAULT_ROOT_TOL)
+        find_root_decreasing(h, 1.0)
     assert info.value.best == math.log(2.0)
 
 
 def test_root_raises_where_the_slope_vanishes_above_the_target():
     with pytest.raises(NonConvergenceError, match="stops decreasing at x=0.0") as info:
-        find_root_decreasing(lambda x: (2.0, 0.0), 1.0, DEFAULT_ROOT_TOL)
+        find_root_decreasing(lambda x: (2.0, 0.0), 1.0)
     assert info.value.best == 0.0
 
 
@@ -262,7 +231,7 @@ def test_root_contract_on_exponential_mixtures(terms, frac):
     h = mixture(terms)
     target = frac * math.fsum(c for c, _ in terms)
     try:
-        x = find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
+        x = find_root_decreasing(h, target)
     except NonConvergenceError as e:
         assert math.isfinite(e.best)
     else:
@@ -277,7 +246,7 @@ def test_root_never_crossing_mixtures_raise(terms, target, excess):
     # a constant term above the target: h never comes within abs_tol of it
     h = mixture(terms, constant=target * (1.0 + excess))
     with pytest.raises(NonConvergenceError) as info:
-        find_root_decreasing(h, target, DEFAULT_ROOT_TOL)
+        find_root_decreasing(h, target)
     assert math.isfinite(info.value.best)
     assert all(a < b for a, b in zip(h.seen, h.seen[1:]))
 

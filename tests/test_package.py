@@ -1,6 +1,7 @@
 """The package's public surface."""
 import ast
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -76,6 +77,31 @@ def test_import_leaves_the_process_pool_unloaded():
 
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_readme_python_blocks_run_and_match_their_annotations():
+    # the quick tour runs top to bottom in one interpreter; each line
+    # `expr  # -> value` prints repr(expr), which must read as the value: a
+    # number to 1e-12 relative (a parenthesised remark ignored), a prefix
+    # where the value ends in "...", a string exactly
+    readme = (Path(malthus.__file__).resolve().parents[2] / "README.md").read_text()
+    code, notes = [], []
+    for line in "".join(re.findall(r"```python\n(.*?)```", readme, flags=re.S)).splitlines():
+        m = re.fullmatch(r"(\S.*?)\s+# -> (.*)", line)
+        if m:
+            code.append(f"print(repr({m[1]}))")
+            notes.append(re.sub(r"\s*\(.*\)$", "", m[2]))
+        else:
+            code.append(line)
+    got = fresh_python("\n".join(code)).splitlines()
+    assert notes and len(got) == len(notes)
+    for value, note in zip(got, notes):
+        if note.endswith("..."):
+            assert value.startswith(note[:-3]), (value, note)
+        elif note[0] in "'\"":
+            assert value == note
+        else:
+            assert math.isclose(float(value), float(note), rel_tol=1e-12, abs_tol=0.0), (value, note)
 
 
 def run_then_list_scipy(argv_lists):
