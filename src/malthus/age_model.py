@@ -159,7 +159,7 @@ class ConstantRate(_DivisionRate):
     def cumulative(self, a):
         return self.b * np.asarray(a, dtype=float)
 
-    def cutoff(self, eps: float = TAIL_EPS) -> float:
+    def cutoff(self, eps: float) -> float:
         return -math.log(eps) / self.b
 
 
@@ -214,7 +214,7 @@ class PowerLagRate(_DivisionRate):
         t = np.maximum(a - self.lag, 0.0)
         return t ** (self.beta + 1.0) / (self.beta + 1.0)
 
-    def cutoff(self, eps: float = TAIL_EPS) -> float:
+    def cutoff(self, eps: float) -> float:
         return self.lag + ((self.beta + 1.0) * (-math.log(eps))) ** (1.0 / (self.beta + 1.0))
 
 
@@ -291,7 +291,7 @@ class TabulatedRate(_DivisionRate):
         s = np.exp(-self.cumulative(a))
         return np.where(a >= self.support_end, 0.0, s)
 
-    def cutoff(self, eps: float = TAIL_EPS) -> float:
+    def cutoff(self, eps: float) -> float:
         return self.support_end
 
 

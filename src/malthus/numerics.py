@@ -53,8 +53,8 @@ class Tolerance:
     Newton steps; otherwise it raises ValueError (a bad target or h(0), a
     non-finite value) or NonConvergenceError carrying ``best``."""
 
-    abs_tol: float = 1e-10
-    max_iter: int = 60
+    abs_tol: float
+    max_iter: int
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):

@@ -28,7 +28,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "FixedRate",
     "DrawnFromKernel",
     "SimConfig",
-    "CellRecord",
     "TreeResult",
     "simulate_tree",
     "group_measures",
@@ -176,12 +175,23 @@ class DrawnFromKernel:
     """Root cell rate drawn from the heredity kernel like any daughter."""
 
 
+_PIECES = {"division": (SizeDivisionRate,), "growth": (Exponential, Linear), "split": (Symmetric, UniformAsymmetric),
+           "kernel": (Memoryless, AutoRegressive), "root_rate": (FixedRate, DrawnFromKernel)}
+_LAWS = (Dirac, UniformLaw, DiscreteMixture, TruncatedGaussian)
+
+
+def _check_piece(name: str, value, kinds: tuple) -> None:
+    if not isinstance(value, kinds):
+        raise TypeError(f"{name} must be one of {', '.join(k.__name__ for k in kinds)}; got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one branching-tree experiment.
 
     An :class:`AlphaFamily` kernel law is resolved to its contracted law
-    on construction, so ``kernel.law`` is always a samplable rate law.
+    on construction.  A piece, or the resolved ``kernel.law``, of a type the
+    simulator does not run (``_PIECES``, ``_LAWS``) raises ``TypeError``.
     """
 
     division: SizeDivisionRate
@@ -194,6 +204,8 @@ class SimConfig:
     max_cells: int = 10_000_000
 
     def __post_init__(self):
+        for name, kinds in _PIECES.items():
+            _check_piece(name, getattr(self, name), kinds)
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
         if not (self.root_size > 0.0 and math.isfinite(self.root_size)):
@@ -202,6 +214,7 @@ class SimConfig:
             raise ValueError("max_cells must be positive")
         if isinstance(self.kernel.law, AlphaFamily):
             object.__setattr__(self, "kernel", replace(self.kernel, law=self.kernel.law.law()))
+        _check_piece("kernel.law", self.kernel.law, _LAWS)
 
     @property
     def digest(self) -> str:
@@ -231,19 +244,6 @@ def _describe(x) -> str:
     raise TypeError(f"cannot describe a {type(x).__name__} in a config digest")
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    """One node of the genealogical tree."""
-
-    path: str  # {0,1}-word from the root; root is ""
-    parent_path: Optional[str]
-    b: float  # birth time
-    zeta: float  # lifetime
-    xi: float  # birth size
-    tau: float  # growth rate
-    d: float  # division time = b + zeta
-
-
 def _check_time(t: float, horizon: float) -> None:
     if not 0.0 <= t <= horizon:  # NaN fails it too
         raise ValueError("t must lie in [0, horizon]; the tree is incomplete beyond")
@@ -255,6 +255,7 @@ class TreeResult:
     Cells are stored as parallel arrays in breadth-first order; ``parent``
     is -1 for the root and ``bit`` the {0,1} label of the edge from the
     parent.  A cell is a leaf iff its division time is >= the horizon.
+    The tree is read through these columns and :meth:`paths` alone.
     """
 
     __slots__ = ("config", "parent", "bit", "b", "zeta", "xi", "tau", "d", "division_size")
@@ -310,11 +311,7 @@ class TreeResult:
             chars[rows] = block
         return chars.view(f"S{chars.shape[1]}").ravel()
 
-    def cells(self) -> Iterator[CellRecord]:
-        paths = np.char.decode(self.paths(), "ascii").tolist()
-        columns = zip(self.b.tolist(), self.zeta.tolist(), self.xi.tolist(), self.tau.tolist(), self.d.tolist())
-        for path, p, (b, zeta, xi, tau, d) in zip(paths, self.parent.tolist(), columns):
-            yield CellRecord(path, paths[p] if p >= 0 else None, b, zeta, xi, tau, d)
+    cells = None  # no reader builds per-cell records; bench/tracing.py wraps this name alone
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def _first_accepted(accept: np.ndarray, values: np.ndarray) -> tuple:
 
 
 def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
-    """Vectorized per-cell rate draws; rejection for the Gaussian window."""
+    """Vectorized per-cell rate draws from a law of ``_LAWS``; rejection for the Gaussian window."""
     n = bases.size
     lo, hi = law.support
     if law.is_degenerate or lo == hi:
@@ -385,21 +382,19 @@ def _draw_rates(law, bases: np.ndarray) -> np.ndarray:
         # below 1, and a u past it takes the last atom of positive weight
         inner = np.cumsum([w for _, w in atoms])[:-1]
         return vs[np.searchsorted(inner, u, side="right")]
-    if isinstance(law, TruncatedGaussian):
-        # imported here, so that only Gaussian rate draws load scipy.special
-        from scipy.special import ndtri
+    # a TruncatedGaussian; imported here, so that only its draws load scipy.special
+    from scipy.special import ndtri
 
-        v, redo = _redraw(
-            lambda b, c: law.mean + law.sigma_eta * ndtri(open_uniforms_at(b, c)),
-            lambda v: (v >= lo) & (v <= hi),
-            bases, _DOM_RATE, _RATE_BUDGET,
+    v, redo = _redraw(
+        lambda b, c: law.mean + law.sigma_eta * ndtri(open_uniforms_at(b, c)),
+        lambda v: (v >= lo) & (v <= hi),
+        bases, _DOM_RATE, _RATE_BUDGET,
+    )
+    if redo.size:
+        raise RuntimeError(
+            f"rate rejection budget exhausted for {redo.size} cells; window [{lo}, {hi}] too improbable"
         )
-        if redo.size:
-            raise RuntimeError(
-                f"rate rejection budget exhausted for {redo.size} cells; window [{lo}, {hi}] too improbable"
-            )
-        return v
-    raise TypeError(f"cannot sample from rate law {type(law).__name__}")
+    return v
 
 
 def _inverse_from(division: SizeDivisionRate, x_b, E):
@@ -422,13 +417,11 @@ def _inverse_from(division: SizeDivisionRate, x_b, E):
 
 
 def _lifetime(growth, x_b: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Time to grow from birth size x_b to division size s at rate v, over
-    the arrays the sampler made (s >= x_b > 0 and v > 0 by construction)."""
+    """Time to grow from birth size x_b to division size s at rate v (Exponential
+    or Linear growth), over the arrays the sampler made (s >= x_b > 0, v > 0)."""
     if isinstance(growth, Exponential):
         return np.log(s / x_b) / v
-    if isinstance(growth, Linear):
-        return (s - x_b) / v
-    raise TypeError("unknown growth law")
+    return (s - x_b) / v
 
 
 # ---------------------------------------------------------------------------

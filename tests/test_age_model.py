@@ -452,7 +452,7 @@ def test_steep_power_hazard_matches_quadpack(beta, lag):
     B = PowerLagRate(beta, lag)
     a, w = age_model._fb_table(B)
     assert np.all(np.diff(a) > 0.0)
-    assert abs(w.sum() - (1.0 - B.survival(B.cutoff()))) <= 1e-12
+    assert abs(w.sum() - (1.0 - B.survival(B.cutoff(TAIL_EPS)))) <= 1e-12
     assert abs(malthus_reference(B, 1.0) - oracle) <= 1e-10
 
 
@@ -468,7 +468,7 @@ def test_hazard_whose_cutoff_rounds_to_the_onset_raises_naming_the_rate(lag):
     # ((beta + 1) ln(1/eps))^(1/(beta + 1)) rounds to 1: S is still 1 at the
     # cutoff, and the table would hold no mass at all
     B = PowerLagRate(1e300, lag)
-    assert B.cutoff() == lag + 1.0 and B.survival(B.cutoff()) == 1.0
+    assert B.cutoff(TAIL_EPS) == lag + 1.0 and B.survival(B.cutoff(TAIL_EPS)) == 1.0
     with pytest.raises(ValueError, match=re.escape(repr(B))):
         malthus_reference(B, 1.0)
 

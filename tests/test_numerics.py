@@ -188,11 +188,11 @@ def test_root_exhaustion_raises_with_best(monkeypatch):
 
 def test_tolerance_takes_an_integer_step_budget():
     # range() takes only integers: a float budget would fail at the first solve
-    assert Tolerance(max_iter=np.int64(60)) == Tolerance(max_iter=60)
-    assert type(Tolerance(max_iter=np.int64(60)).max_iter) is int
+    assert Tolerance(abs_tol=1e-10, max_iter=np.int64(60)) == Tolerance(abs_tol=1e-10, max_iter=60)
+    assert type(Tolerance(abs_tol=1e-10, max_iter=np.int64(60)).max_iter) is int
     for bad in (2.5, math.nan):
         with pytest.raises(TypeError):
-            Tolerance(max_iter=bad)
+            Tolerance(abs_tol=1e-10, max_iter=bad)
 
 
 def test_root_failure_states_the_residual():

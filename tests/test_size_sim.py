@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -483,11 +484,10 @@ def test_genealogy_invariants():
     assert np.all(tree.d == tree.b + tree.zeta)
     assert np.all(tree.zeta > 0.0)
     assert np.array_equal(tree.b[1:], tree.d[tree.parent[1:]])
-    cells = list(tree.cells())
-    assert cells[0].path == "" and cells[0].parent_path is None
-    for i, c in enumerate(cells[1:], start=1):
-        assert c.path == c.parent_path + str(int(tree.bit[i]))
-    paths = [c.path for c in cells]
+    paths = tree.paths().tolist()
+    assert paths[0] == b"" and tree.parent[0] == -1
+    for i in range(1, len(paths)):
+        assert paths[i] == paths[tree.parent[i]] + str(int(tree.bit[i])).encode()
     assert len(set(paths)) == len(paths)
 
 
@@ -539,8 +539,13 @@ def test_horizon_prefix_property():
     # a shorter-horizon run is exactly the early part of a longer one
     short = simulate_tree(make_config(horizon=5.0), RngStream(17, 6))
     long = simulate_tree(make_config(horizon=8.0), RngStream(17, 6))
-    marks_short = {c.path: (c.b, c.zeta, c.xi, c.tau) for c in short.cells()}
-    marks_long = {c.path: (c.b, c.zeta, c.xi, c.tau) for c in long.cells() if c.b <= 5.0}
+
+    def marks(tree):
+        columns = zip(tree.b.tolist(), tree.zeta.tolist(), tree.xi.tolist(), tree.tau.tolist())
+        return {path: c for path, c in zip(tree.paths().tolist(), columns) if c[0] <= 5.0}
+
+    marks_short, marks_long = marks(short), marks(long)
+    assert len(marks_short) == len(short)
     assert marks_short == marks_long
 
 
@@ -920,3 +925,32 @@ def test_config_rejects_a_nan_cell_budget():
         make_config(max_cells=math.nan)
     a, b = make_config(max_cells=1000.0), make_config(max_cells=1000)
     assert a == b and a.digest == b.digest
+
+
+class _OtherLaw:
+    """A rate law of a type the simulator does not sample."""
+
+    mean, is_degenerate, support = 1.0, False, (0.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("division", (1.0, 2.0)),
+        ("growth", "exp"),
+        ("split", 0.2),
+        ("kernel", UniformLaw(0.5, 1.5)),
+        ("root_rate", 1.0),
+        ("kernel.law", _OtherLaw()),
+    ],
+)
+def test_config_rejects_a_piece_of_another_type_naming_the_field(field, value):
+    # each would fail deep in the simulator, or (root_rate) silently draw
+    # the root's rate from the kernel
+    pieces = {"division": SizeDivisionRate(1.0, 2.0)}
+    if field == "kernel.law":
+        pieces["kernel"] = Memoryless(value)
+    else:
+        pieces[field] = value
+    with pytest.raises(TypeError, match=rf"^{re.escape(field)} must be one of .+; got {re.escape(repr(value))}$"):
+        SimConfig(**pieces)
