@@ -51,27 +51,6 @@ from .numerics import TAIL_EPS, find_root_decreasing
 # no solver integrates adaptively; bench/tracing.py wraps this name alone
 integrate = None
 
-__all__ = [
-    "ConstantRate",
-    "PowerLagRate",
-    "TabulatedRate",
-    "Dirac",
-    "TruncatedGaussian",
-    "UniformLaw",
-    "DiscreteMixture",
-    "AlphaFamily",
-    "EigenPair",
-    "CurveRow",
-    "malthus_reference",
-    "malthus_with_variability",
-    "malthus_general",
-    "eigen_pair",
-    "dlambda_dalpha",
-    "d2lambda_at_zero",
-    "sign_condition",
-    "cv_curve",
-]
-
 _GL_NODES = 64  # most nodes of a rate window's Gauss rule; all on a window touching v = 0
 _GL_FLOOR = 12  # fewest nodes of a rate window's Gauss rule
 _LN_EPS = -math.log(np.finfo(np.float64).eps)  # ln(1/eps): a rate rule aims at float64 precision
@@ -302,23 +281,24 @@ class TabulatedRate(_DivisionRate):
 
 class _RateLaw:
     """What every aging-rate law shares: the CV and the mean-preserving
-    contraction v_bar + alpha (V - v_bar), whose alpha = 0 end is the Dirac
-    at the mean; each law contracts itself for alpha > 0 in ``_contract``."""
+    contraction v_bar + alpha (V - v_bar), alpha in [0, 1], whose alpha = 0
+    end is the Dirac at the mean.  A degenerate law has no contraction at
+    alpha > 0 and raises ``ValueError``; every other law contracts itself
+    in ``_contract``."""
 
     @property
     def cv(self) -> float:
         return math.sqrt(self.variance) / self.mean
 
     def contract(self, alpha: float):
-        alpha = _check_alpha(alpha)
-        return Dirac(self.mean) if alpha == 0.0 else self._contract(alpha)
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    return alpha
+        alpha = float(alpha)
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError("alpha must lie in [0, 1]")
+        if alpha == 0.0:
+            return Dirac(self.mean)
+        if self.is_degenerate:
+            raise ValueError("alpha > 0 requires a non-degenerate baseline")
+        return self._contract(alpha)
 
 
 @dataclass(frozen=True)
@@ -344,9 +324,6 @@ class Dirac(_RateLaw):
 
     def quadrature(self):
         return np.asarray([self.v_bar]), np.asarray([1.0])
-
-    def _contract(self, alpha: float) -> "Dirac":
-        return self
 
 
 @functools.lru_cache(maxsize=128)
@@ -554,18 +531,22 @@ class AlphaFamily:
 
     The contracted law keeps the baseline mean while its CV scales linearly
     in alpha; alpha = 1 recovers the baseline and alpha -> 0 tends to the
-    Dirac at the mean.
+    Dirac at the mean.  A baseline that is no rate law raises
+    ``TypeError``; alpha must lie in (0, 1], and the baseline's
+    :meth:`_RateLaw.contract` refuses the rest (alpha > 1, a degenerate
+    baseline) with its ``ValueError``.
     """
 
     baseline: object
     alpha: float
 
     def __post_init__(self):
-        if self.baseline.is_degenerate:
-            raise ValueError("baseline must be non-degenerate")
+        if not isinstance(self.baseline, _RateLaw):
+            raise TypeError(f"baseline must be a rate law; got {self.baseline!r}")
         a = float(self.alpha)
-        if not (0.0 < a <= 1.0):
+        if not a > 0.0:  # NaN fails it too
             raise ValueError("alpha must lie in (0, 1]")
+        self.baseline.contract(a)
         object.__setattr__(self, "alpha", a)
 
     def law(self):

@@ -191,8 +191,6 @@ def _sim_config(items: dict, horizon: float, alpha: Optional[float] = None) -> S
     Called inside :func:`_config_errors`."""
     law = _parse_piece("baseline", items["baseline"], _LAWS)
     if alpha is not None:
-        if alpha > 0.0 and law.is_degenerate:
-            raise ConfigError("alpha > 0 requires a non-degenerate baseline")
         law = law.contract(alpha)
     return SimConfig(
         division=SizeDivisionRate(

@@ -26,16 +26,6 @@ from .numerics import RngStream
 # wraps estimator.simulate_tree, so the name stays importable
 from .size_sim import SimConfig, TreeResult, biomass_at, group_measures, simulate_tree
 
-__all__ = [
-    "MalthusEstimate",
-    "CvTableRow",
-    "malthus_hat_biomass",
-    "malthus_hat_count",
-    "monte_carlo",
-    "cv_table",
-    "estimator_sd_comparison",
-]
-
 
 @dataclass(frozen=True)
 class MalthusEstimate:

@@ -17,19 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Tolerance",
-    "NonConvergenceError",
-    "DEFAULT_ROOT_TOL",
-    "TAIL_EPS",
-    "find_root_decreasing",
-    "RngStream",
-    "uniforms_at",
-    "open_uniforms_at",
-    "cell_base",
-    "child_key",
-]
-
 # survival mass below which semi-infinite integrals are truncated
 TAIL_EPS = 1e-13
 

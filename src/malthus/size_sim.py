@@ -35,23 +35,6 @@ import numpy as np
 from .age_model import AlphaFamily, Dirac, DiscreteMixture, TruncatedGaussian, UniformLaw
 from .numerics import RngStream, cell_base, child_key, open_uniforms_at, uniforms_at
 
-__all__ = [
-    "SizeDivisionRate",
-    "Exponential",
-    "Linear",
-    "Symmetric",
-    "UniformAsymmetric",
-    "Memoryless",
-    "AutoRegressive",
-    "FixedRate",
-    "DrawnFromKernel",
-    "SimConfig",
-    "TreeResult",
-    "simulate_tree",
-    "group_measures",
-    "biomass_at",
-]
-
 # per-purpose counter domains inside a cell's draw space; attempts within a
 # purpose advance the low bits, so one cell's rejections never shift
 # another cell's draws
@@ -191,7 +174,9 @@ class SimConfig:
 
     An :class:`AlphaFamily` kernel law is resolved to its contracted law
     on construction.  A piece, or the resolved ``kernel.law``, of a type the
-    simulator does not run (``_PIECES``, ``_LAWS``) raises ``TypeError``.
+    simulator does not run (``_PIECES``, ``_LAWS``) raises ``TypeError``,
+    as does a ``horizon``, ``root_size`` or ``max_cells`` that is not a
+    real number or is a ``bool``.
     """
 
     division: SizeDivisionRate
@@ -206,6 +191,10 @@ class SimConfig:
     def __post_init__(self):
         for name, kinds in _PIECES.items():
             _check_piece(name, getattr(self, name), kinds)
+        for name in ("horizon", "root_size", "max_cells"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number; got {value!r}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
         if not (self.root_size > 0.0 and math.isfinite(self.root_size)):

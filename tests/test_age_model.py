@@ -120,6 +120,25 @@ def test_contraction_rejects_bad_alpha(tg):
             tg.contract(alpha)
 
 
+@pytest.mark.parametrize("law", [Dirac(1.0), DiscreteMixture([(1.0, 1.0)])], ids=["dirac", "one-atom"])
+def test_degenerate_law_has_no_contraction_above_zero(law):
+    assert law.contract(0.0) == Dirac(1.0)
+    with pytest.raises(ValueError, match="^alpha > 0 requires a non-degenerate baseline$"):
+        law.contract(0.5)
+    with pytest.raises(ValueError, match="^alpha > 0 requires a non-degenerate baseline$"):
+        AlphaFamily(law, 0.5)
+
+
+def test_alpha_family_names_a_baseline_that_is_no_rate_law(tg):
+    with pytest.raises(TypeError, match=r"^baseline must be a rate law; got 1\.0$"):
+        AlphaFamily(1.0, 0.5)
+    for alpha in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
+            AlphaFamily(tg, alpha)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]$"):
+        AlphaFamily(tg, 1.5)
+
+
 def test_density_normalization(tg):
     for law in (tg, UniformLaw(0.7, 1.3), AlphaFamily(tg, 0.4).law()):
         x, w = law.quadrature()

@@ -282,6 +282,16 @@ def test_keys_a_command_does_not_read_are_config_errors(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def test_contracting_a_degenerate_baseline_is_a_config_error(tmp_path, capsys):
+    # Dirac.contract raises inside the commands' config errors: exit 2
+    out = tmp_path / "x.csv"
+    dirac = ["--set", "baseline=dirac:1"]
+    assert main(["size-mc", *dirac, "--set", "rows=0:4,0.5:4", "--set", "M=2", "--out", str(out)]) == 2
+    assert main(["tree-dump", *dirac, "--alpha", "0.5", "--horizon", "4", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("config error: alpha > 0 requires a non-degenerate baseline") == 2
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys, threads):
     # exit code 2 before any tree runs, not a table of error rows

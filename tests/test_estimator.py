@@ -264,6 +264,16 @@ def test_cv_table_alpha_zero_row_is_degenerate():
     assert row.estimate.sd < 1e-12
 
 
+def test_cv_table_records_a_contraction_of_a_degenerate_baseline_as_an_error():
+    # a Dirac baseline has no contraction at alpha > 0; the row would
+    # otherwise run the Dirac itself and report it as ok
+    base = make_config(alpha=0.0, horizon=4.0)
+    ok, bad = cv_table(base, [(0.0, 4.0), (0.5, 4.0)], m_trees=2, seed=1)
+    assert ok.status == "ok"
+    assert (bad.alpha, bad.cv, bad.estimate) == (0.5, 0.0, None)
+    assert bad.status == "error: ValueError: alpha > 0 requires a non-degenerate baseline"
+
+
 # --- estimator comparison --------------------------------------------------------
 
 

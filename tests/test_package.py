@@ -23,6 +23,18 @@ def test_all_lists_every_public_import_and_resolves():
     public = {name for name in imported if not name.startswith("_")}
     assert public - set(malthus.__all__) == set()
     assert [name for name in malthus.__all__ if not hasattr(malthus, name)] == []
+    # malthus.__all__ is the one declaration: no module repeats a list of its own
+    modules = Path(malthus.__file__).parent.glob("*.py")
+    assigns = {
+        p.name
+        for p in modules
+        if p.name != "__init__.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    }
+    assert assigns == set()
 
 
 def test_every_exported_function_is_used_outside_the_tests():

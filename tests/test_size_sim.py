@@ -927,6 +927,23 @@ def test_config_rejects_a_nan_cell_budget():
     assert a == b and a.digest == b.digest
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", "5"),
+        ("horizon", True),
+        ("root_size", None),
+        ("root_size", np.bool_(True)),
+        ("max_cells", "9"),
+        ("max_cells", False),
+    ],
+    ids=["horizon-str", "horizon-bool", "root_size-none", "root_size-np-bool", "max_cells-str", "max_cells-bool"],
+)
+def test_config_rejects_a_number_of_another_type_naming_the_field(field, value):
+    with pytest.raises(TypeError, match=rf"^{field} must be a real number; got {re.escape(repr(value))}$"):
+        make_config(**{field: value})
+
+
 class _OtherLaw:
     """A rate law of a type the simulator does not sample."""
 
