@@ -1033,10 +1033,10 @@ def cv_curve(B, baseline, alphas: Sequence[float]) -> list:
 
     Includes the CV = 0 anchor (the reference exponent at the baseline
     mean), which an alpha of 0 names.  Solver failures are recorded per
-    row instead of raised.
+    row instead of raised; a baseline that :class:`AlphaFamily` refuses
+    (no rate law, or a degenerate one) raises before any row.
     """
-    if baseline.is_degenerate:
-        raise ValueError("baseline must be non-degenerate")
+    AlphaFamily(baseline, 1.0)  # a rate law with a contraction at alpha > 0
     rows = [CurveRow(0.0, 0.0, malthus_reference(B, baseline.mean))]
     for alpha in alphas:
         alpha = float(alpha)

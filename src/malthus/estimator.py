@@ -41,7 +41,6 @@ class MalthusEstimate:
     pop_max: float
     T: float
     m: int
-    config_digest: str
 
     def __post_init__(self):
         if not (self.ci_low <= self.mean <= self.ci_high):
@@ -157,7 +156,7 @@ def _statistics(rows: list, times: list, horizons: Sequence[float]) -> np.ndarra
     return np.asarray([[[_rate(r[at[0.5 * T]][k], r[at[T]][k], T) for k in (0, 1)] for T in horizons] for r in rows])
 
 
-def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: float) -> MalthusEstimate:
+def _summarize(per_tree: np.ndarray, pops: np.ndarray, T: float) -> MalthusEstimate:
     # R-6 interpolation puts >= ceil(0.95 m) of the points inside the interval
     lo, hi = np.quantile(per_tree, [0.025, 0.975], method="weibull")
     return MalthusEstimate(
@@ -171,7 +170,6 @@ def _summarize(config: SimConfig, per_tree: np.ndarray, pops: np.ndarray, T: flo
         pop_max=float(np.max(pops)),
         T=float(T),
         m=int(per_tree.size),
-        config_digest=config.digest,
     )
 
 
@@ -181,7 +179,7 @@ def _estimate(config: SimConfig, estimator: str, offset: int, measure) -> Malthu
     rows = measure(config, offset, times)
     per_tree = _statistics(rows, times, [T])[:, 0, ("biomass", "count").index(estimator)]
     pops = np.asarray([r[1][1] for r in rows])
-    return _summarize(config, per_tree, pops, T)
+    return _summarize(per_tree, pops, T)
 
 
 def monte_carlo(config: SimConfig, m_trees: int, seed: int, estimator: str = "biomass") -> MalthusEstimate:

@@ -23,8 +23,6 @@ exponential growth where the 1/size factor requires thinning.
 """
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -58,6 +56,11 @@ _GROUP_FRONTIER = 1 << 16
 # ---------------------------------------------------------------------------
 
 
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number; got {value!r}")
+
+
 @dataclass(frozen=True)
 class SizeDivisionRate:
     """Division hazard B(x) = (x - x0)^beta for x >= x0.
@@ -71,6 +74,8 @@ class SizeDivisionRate:
     mode: str = "unit_size"
 
     def __post_init__(self):
+        _check_real("x0", self.x0)
+        _check_real("beta", self.beta)
         if not (self.x0 >= 0.0 and math.isfinite(self.x0)):
             raise ValueError("x0 must be non-negative and finite")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
@@ -118,6 +123,7 @@ class UniformAsymmetric:
     eps: float = 0.1
 
     def __post_init__(self):
+        _check_real("eps", self.eps)
         if not (0.0 <= self.eps < 0.5):
             raise ValueError("eps must lie in [0, 0.5)")
 
@@ -138,6 +144,7 @@ class AutoRegressive:
     theta: float = 0.5
 
     def __post_init__(self):
+        _check_real("theta", self.theta)
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [0, 1]")
 
@@ -149,6 +156,7 @@ class FixedRate:
     value: float = 1.0
 
     def __post_init__(self):
+        _check_real("value", self.value)
         if not (self.value > 0.0 and math.isfinite(self.value)):
             raise ValueError("rate must be positive and finite")
 
@@ -192,9 +200,7 @@ class SimConfig:
         for name, kinds in _PIECES.items():
             _check_piece(name, getattr(self, name), kinds)
         for name in ("horizon", "root_size", "max_cells"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number; got {value!r}")
+            _check_real(name, getattr(self, name))
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
         if not (self.root_size > 0.0 and math.isfinite(self.root_size)):
@@ -204,33 +210,6 @@ class SimConfig:
         if isinstance(self.kernel.law, AlphaFamily):
             object.__setattr__(self, "kernel", replace(self.kernel, law=self.kernel.law.law()))
         _check_piece("kernel.law", self.kernel.law, _LAWS)
-
-    @property
-    def digest(self) -> str:
-        """Hash of :func:`_describe` of the config: configs equal under
-        ``==`` share one digest, and every field of every piece counts."""
-        return hashlib.sha256(_describe(self).encode()).hexdigest()[:16]
-
-
-def _describe(x) -> str:
-    """Type name and fields of a config piece, recursively.
-
-    A number is written as ``float(x) + 0.0``, so int, float, np.float64
-    and -0.0 of one value agree as they do under ``==``; an int beyond
-    float precision keeps its digits.
-    """
-    if dataclasses.is_dataclass(x):
-        fields = ",".join(f"{f.name}={_describe(getattr(x, f.name))}" for f in dataclasses.fields(x))
-        return f"{type(x).__name__}({fields})"
-    if isinstance(x, tuple):
-        return "(" + ",".join(map(_describe, x)) + ")"
-    if isinstance(x, str):
-        return repr(str(x))
-    if isinstance(x, numbers.Integral) and float(x) != x:
-        return repr(int(x))
-    if isinstance(x, numbers.Real):
-        return repr(float(x) + 0.0)
-    raise TypeError(f"cannot describe a {type(x).__name__} in a config digest")
 
 
 def _check_time(t: float, horizon: float) -> None:

@@ -873,6 +873,12 @@ def test_second_derivative_closed_form():
     # vbar = 2, sigma^2 = 1: lambda(alpha) = 1.5 * 2 * sqrt(1 - alpha^2 / 4)
     d2c = d2lambda_at_zero(ConstantRate(1.5), DiscreteMixture([(1.0, 0.5), (3.0, 0.5)]))
     assert abs(d2c + 0.75) < 1e-6
+    assert d2lambda_at_zero(PowerLagRate(2.0, 1.0), Dirac(1.0)) == 0.0  # sigma^2 = 0
+
+
+def test_dlambda_takes_only_an_alpha_family():
+    with pytest.raises(TypeError, match="^fam must be an AlphaFamily$"):
+        dlambda_dalpha(PowerLagRate(1.0, 1.0), 0.5)
 
 
 def test_quadratic_residual_shrinks_quartically(tg):
@@ -1084,5 +1090,10 @@ def test_cv_curve_puts_a_nan_alpha_last(tg):
 
 
 def test_cv_curve_rejects_degenerate_baseline():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha > 0 requires a non-degenerate baseline$"):
         cv_curve(ConstantRate(1.0), Dirac(1.0), [0.5])
+
+
+def test_cv_curve_names_a_baseline_that_is_no_rate_law():
+    with pytest.raises(TypeError, match=r"^baseline must be a rate law; got 1\.0$"):
+        cv_curve(ConstantRate(1.0), 1.0, [0.5])

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import TG_CV
 from malthus.cli import main
+from malthus.size_sim import group_measures
 
 
 def read_csv(path):
@@ -186,6 +187,28 @@ def test_size_mc_output_and_manifest(tmp_path):
     assert man["started"] <= man["finished"]
 
 
+def test_size_mc_records_a_row_that_fails_at_run_time(tmp_path, monkeypatch, capsys):
+    # the row's trees fail as a group and then alone; the row is written
+    # as nan, the others and the manifest as usual
+    def fail_at_4_5(config, streams, times):
+        if config.horizon == 4.5:
+            raise RuntimeError("boom")
+        return group_measures(config, streams, times)
+
+    monkeypatch.setattr("malthus.estimator.group_measures", fail_at_4_5)
+    monkeypatch.setenv("MALTHUS_THREADS", "1")
+    out = tmp_path / "table.csv"
+    assert main(["size-mc", "--set", "rows=0.4:4,0.2:4.5", "--set", "M=2", "--out", str(out)]) == 0
+    ok, failed = read_csv(out)
+    estimates = ["mean", "sd", "ci_low", "ci_high", "pop_mean", "pop_min", "pop_max"]
+    assert all(math.isfinite(float(ok[k])) for k in estimates)
+    assert float(failed["alpha"]) == 0.2 and float(failed["T"]) == 4.5
+    assert all(failed[k] == "nan" for k in estimates)
+    man = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert man["outputs"][str(out)] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert capsys.readouterr().err == "row alpha=0.2 T=4.5: error: RuntimeError: tree on stream 2 failed: boom\n"
+
+
 def test_size_mc_rerun_is_byte_identical(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, CFG)
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
@@ -245,6 +268,8 @@ def test_size_mc_config_errors(tmp_path):
     assert main(["size-mc", "--config", cfg, "--set", "M=abc", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "seed=x", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "rows=a:4", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "rows=0.4", "--out", out]) == 2
+    assert main(["size-mc", "--config", cfg, "--set", "rows=,", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "seed=-1", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "baseline=uniform:0,inf", "--out", out]) == 2
     assert main(["size-mc", "--config", cfg, "--set", "split=asym:0.1,0.2", "--out", out]) == 2
