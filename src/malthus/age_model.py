@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
-from .numerics import TAIL_EPS, find_root_decreasing
+from .numerics import TAIL_EPS, _check_real, find_root_decreasing
 
 # no solver integrates adaptively; bench/tracing.py wraps this name alone
 integrate = None
@@ -124,6 +124,7 @@ class ConstantRate(_DivisionRate):
     b: float
 
     def __post_init__(self):
+        _check_real("b", self.b)
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ValueError("b must be positive and finite")
 
@@ -150,6 +151,8 @@ class PowerLagRate(_DivisionRate):
     lag: float = 0.0
 
     def __post_init__(self):
+        _check_real("beta", self.beta)
+        _check_real("lag", self.lag)
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError("beta must be non-negative and finite")
         if not (self.lag >= 0.0 and math.isfinite(self.lag)):
@@ -308,6 +311,7 @@ class Dirac(_RateLaw):
     v_bar: float
 
     def __post_init__(self):
+        _check_real("v_bar", self.v_bar)
         if not (self.v_bar > 0.0 and math.isfinite(self.v_bar)):
             raise ValueError("v_bar must be positive and finite")
 
@@ -372,6 +376,8 @@ class _Window(_RateLaw):
     v_max: float
 
     def __post_init__(self):
+        _check_real("v_min", self.v_min)
+        _check_real("v_max", self.v_max)
         if not (0.0 <= self.v_min < self.v_max < math.inf):
             raise ValueError("need 0 <= v_min < v_max < inf")
 
@@ -399,6 +405,7 @@ class TruncatedGaussian(_Window):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_real("sigma_eta", self.sigma_eta)
         if not (self.sigma_eta > 0.0 and math.isfinite(self.sigma_eta)):
             raise ValueError("sigma_eta must be positive and finite")
         if (self.v_max - self.v_min) / self.sigma_eta < 1e-3:
@@ -488,7 +495,11 @@ class DiscreteMixture(_RateLaw):
     atoms: tuple  # ((v, weight), ...)
 
     def __init__(self, atoms: Iterable[tuple]):
-        atoms_t = tuple((float(v), float(w)) for v, w in atoms)
+        pairs = [(v, w) for v, w in atoms]
+        for v, w in pairs:
+            _check_real("an atom's location", v)
+            _check_real("an atom's weight", w)
+        atoms_t = tuple((float(v), float(w)) for v, w in pairs)
         if not atoms_t:
             raise ValueError("need at least one atom")
         if not all(0.0 < v < math.inf and 0.0 <= w < math.inf for v, w in atoms_t):

@@ -18,12 +18,13 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, size_sim
 from .age_model import (
     AlphaFamily,
     ConstantRate,
@@ -39,6 +40,8 @@ from .age_model import (
 )
 from .estimator import _check_run, cv_table, estimator_sd_comparison
 from .numerics import RngStream
+# simulate_tree is not called here: the benchmark's tracer (bench/tracing.py)
+# wraps cli.simulate_tree, so the name stays importable
 from .size_sim import (
     AutoRegressive,
     DrawnFromKernel,
@@ -54,7 +57,7 @@ from .size_sim import (
 )
 
 _FMT = "%.10g"
-_DUMP_CHUNK_ROWS = 8192  # tree-dump formats and writes this many rows at a time
+_DUMP_CHUNK_ROWS = 1024  # tree-dump formats and writes at most this many rows at a time
 
 
 class ConfigError(ValueError):
@@ -328,22 +331,40 @@ def _cmd_tree_dump(args) -> int:
     with _config_errors():
         cfg = _sim_config(items, args.horizon, args.alpha)
         stream = RngStream(args.seed, args.stream)
-    tree = simulate_tree(cfg, stream)
-    paths = tree.paths()
     # one bytes % per row over tolist() scalars: the same text as _fmt,
-    # cell by cell, with the paths kept as bytes; formatted and written in
-    # blocks of rows, so the text of the whole tree is never held
+    # cell by cell, with the paths kept as bytes.  Each generation is
+    # written as the expansion draws it, in blocks of rows, and dropped
+    # before the next is drawn: only one generation's columns and two
+    # generations' paths are ever held, never the tree or its text
     row = b"%s,%s" + (b"," + _FMT.encode()) * 5
+    paths = np.zeros((1, 0), dtype=np.uint8)  # the generation's paths, one digit a column; the root's is empty
     with open(args.out, "wb") as f:
-        f.write(b"id_path,parent_path,b,zeta,xi,tau,d\n")
-        for start in range(0, len(tree), _DUMP_CHUNK_ROWS):
-            rows = slice(start, start + _DUMP_CHUNK_ROWS)
-            parent = tree.parent[rows]
-            parent_paths = np.where(parent >= 0, paths[parent], b"")
-            columns = [paths[rows].tolist(), parent_paths.tolist()]
-            columns += [getattr(tree, name)[rows].tolist() for name in ("b", "zeta", "xi", "tau", "d")]
-            f.write(b"\n".join([row % r for r in zip(*columns)]) + b"\n")
+        try:
+            f.write(b"id_path,parent_path,b,zeta,xi,tau,d\n")
+            for _, *columns, _ in size_sim._generations(cfg, [stream.base]):
+                for start in range(0, paths.shape[0], _DUMP_CHUNK_ROWS):
+                    rows = slice(start, start + _DUMP_CHUNK_ROWS)
+                    # a cell's parent's path is its own less the last digit
+                    texts = [_path_texts(paths[rows]), _path_texts(paths[rows, :-1])]
+                    texts += [c[rows].tolist() for c in columns]
+                    f.write(b"\n".join([row % r for r in zip(*texts)]) + b"\n")
+                # the next generation: every first daughter of the dividing cells, then every second
+                dividing = np.flatnonzero(columns[-1] < cfg.horizon)
+                bits = np.repeat(np.arange(2, dtype=np.uint8), dividing.size)
+                paths = size_sim._extend_paths(paths[np.concatenate([dividing, dividing])], bits)
+                del columns, _  # _ is the division sizes: the generation goes before the next is drawn
+        except BaseException:
+            os.remove(args.out)  # a failed run leaves no partial tree
+            raise
     return 0
+
+
+def _path_texts(paths: np.ndarray) -> list:
+    """The rows of a path matrix (one ASCII digit a generation) as bytes."""
+    n, depth = paths.shape
+    if not depth:
+        return [b""] * n
+    return np.ascontiguousarray(paths).view(f"S{depth}").ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ evaluation order or thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -19,6 +20,14 @@ import numpy as np
 
 # survival mass below which semi-infinite integrals are truncated
 TAIL_EPS = 1e-13
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ``TypeError`` naming the field unless ``value`` is a real
+    number: a ``bool``, ``str`` or ``None`` would otherwise pass or fail a
+    range check with no field named."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number; got {value!r}")
 
 
 class NonConvergenceError(RuntimeError):

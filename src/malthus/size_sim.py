@@ -24,14 +24,13 @@ exponential growth where the 1/size factor requires thinning.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
 from .age_model import AlphaFamily, Dirac, DiscreteMixture, TruncatedGaussian, UniformLaw
-from .numerics import RngStream, cell_base, child_key, open_uniforms_at, uniforms_at
+from .numerics import RngStream, _check_real, cell_base, child_key, open_uniforms_at, uniforms_at
 
 # per-purpose counter domains inside a cell's draw space; attempts within a
 # purpose advance the low bits, so one cell's rejections never shift
@@ -54,11 +53,6 @@ _GROUP_FRONTIER = 1 << 16
 # ---------------------------------------------------------------------------
 # model pieces
 # ---------------------------------------------------------------------------
-
-
-def _check_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -274,12 +268,21 @@ class TreeResult:
         starts = np.searchsorted(depth, np.arange(1, width + 2))
         for g in range(1, width + 1):
             rows = slice(starts[g - 1], starts[g])
-            block = chars[parent[rows]]
-            block[:, g - 1] = ord("0") + self.bit[rows]
-            chars[rows] = block
+            chars[rows, :g] = _extend_paths(chars[parent[rows], :g - 1], self.bit[rows])
         return chars.view(f"S{chars.shape[1]}").ravel()
 
     cells = None  # no reader builds per-cell records; bench/tracing.py wraps this name alone
+
+
+def _extend_paths(paths: np.ndarray, bits) -> np.ndarray:
+    """The {0,1}-paths of cells from their parents': row i of ``paths``
+    (one ASCII digit a generation, every row of one depth) with the digit
+    of ``bits[i]`` appended."""
+    n, depth = paths.shape
+    out = np.empty((n, depth + 1), dtype=np.uint8)
+    out[:, :depth] = paths
+    out[:, depth] = ord("0") + bits
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +571,15 @@ def _expand(config: SimConfig, stream_bases: np.ndarray, totals: np.ndarray, fro
             return
         # a Memoryless daughter ignores its mother's rate
         parents = [tree[div] if shared else tree, keys[div], bases[div], d[div], s[div], tau[div] if regress else None]
-        if shared and 2 * div.size > _GROUP_FRONTIER:
+        split = shared and 2 * div.size > _GROUP_FRONTIER
+        # only the dividing cells' columns are held while the next generation is drawn
+        del tree, keys, bases, b, xi, tau, s, zeta, d, div
+        if split:
             break
         tree, keys, bases, b, xi, tau = _children(config, stream_bases, *parents)
         del parents  # not held while the next generation is drawn
-    # the group splits: its arrays go, each tree takes its own dividing
-    # cells, in order, and drops them when it resumes
-    del tree, keys, bases, b, xi, tau, s, zeta, d, div
+    # the group splits: each tree takes its own dividing cells, in order,
+    # and drops them when it resumes
     order = np.argsort(parents[0], kind="stable")
     ends = np.cumsum(np.bincount(parents[0], minlength=totals.size))
     held = [[a if a is None else a[order[lo:hi]] for a in parents[1:]] for lo, hi in zip([0, *ends[:-1]], ends)]
@@ -673,6 +678,8 @@ def group_measures(config: SimConfig, streams, times) -> list:
             else:
                 counts[tree, j] += living.size
                 held[tree][j].append(sizes)
+        # the generation's columns (_ is its division sizes) are not held while the next one is drawn
+        del tree, b, xi, tau, d, _
     finish(m)
     return [[(float(z), int(c)) for z, c in zip(zs, cs)] for zs, cs in zip(biomass, counts)]
 

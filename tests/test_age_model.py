@@ -114,6 +114,29 @@ def test_non_finite_parameters_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (Dirac, "v_bar", "1"),
+        (Dirac, "v_bar", True),
+        (lambda v: UniformLaw(v, 1.5), "v_min", "0.5"),
+        (lambda v: UniformLaw(0.5, v), "v_max", np.bool_(True)),
+        (lambda v: TruncatedGaussian(0.0, v, 0.7), "v_max", None),
+        (lambda v: TruncatedGaussian(0.0, 2.0, v), "sigma_eta", "0.7"),
+        (lambda v: PowerLagRate(v, 1.0), "beta", "2"),
+        (lambda v: PowerLagRate(2.0, v), "lag", True),
+        (ConstantRate, "b", True),
+        (lambda v: DiscreteMixture([(v, 0.5), (1.5, 0.5)]), "an atom's location", "0.5"),
+        (lambda v: DiscreteMixture([(0.5, v), (1.5, 0.5)]), "an atom's weight", False),
+    ],
+    ids=["v_bar-str", "v_bar-bool", "v_min-str", "v_max-np-bool", "tg-v_max-none", "sigma_eta-str",
+         "beta-str", "lag-bool", "b-bool", "atom-str", "weight-bool"],
+)
+def test_laws_and_rates_reject_a_number_of_another_type_naming_the_field(build, field, value):
+    with pytest.raises(TypeError, match=rf"^{re.escape(field)} must be a real number; got {re.escape(repr(value))}$"):
+        build(value)
+
+
 def test_contraction_rejects_bad_alpha(tg):
     for alpha in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError):

@@ -3,12 +3,20 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TG_CV
+from malthus import cli, size_sim
 from malthus.cli import main
-from malthus.size_sim import group_measures
+from malthus.numerics import RngStream
+from malthus.size_sim import group_measures, simulate_tree
+from test_size_sim import any_config
 
 
 def read_csv(path):
@@ -300,7 +308,7 @@ def test_keys_a_command_does_not_read_are_config_errors(tmp_path, monkeypatch, c
         raise AssertionError("a tree ran")
 
     monkeypatch.setattr("malthus.estimator.group_measures", refuse)
-    monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
+    monkeypatch.setattr("malthus.size_sim._generations", refuse)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -348,7 +356,7 @@ def test_malformed_numeric_flags_are_config_errors(tmp_path, monkeypatch, argv):
         raise AssertionError("a tree ran")
 
     monkeypatch.setattr("malthus.estimator.group_measures", refuse)
-    monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
+    monkeypatch.setattr("malthus.size_sim._generations", refuse)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
@@ -370,7 +378,7 @@ def test_seeds_and_streams_past_2_64_are_config_errors(tmp_path, monkeypatch, ca
         raise AssertionError("a tree ran")
 
     monkeypatch.setattr("malthus.estimator.group_measures", refuse)
-    monkeypatch.setattr("malthus.cli.simulate_tree", refuse)
+    monkeypatch.setattr("malthus.size_sim._generations", refuse)
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not any(tmp_path.iterdir())
@@ -450,6 +458,69 @@ def test_tree_dump_genealogy(tmp_path):
         assert r["id_path"][:-1] == r["parent_path"]
         assert r["id_path"][-1] in "01"
         assert abs(float(r["d"]) - float(r["b"]) - float(r["zeta"])) < 1e-8
+
+
+def dump_of_stored_tree(cfg, stream):
+    """The tree-dump CSV rebuilt from the stored tree and its paths, with
+    the row pattern of the export that formatted a stored tree."""
+    tree = simulate_tree(cfg, stream)
+    paths = tree.paths()
+    parent_paths = np.where(tree.parent >= 0, paths[tree.parent], b"")
+    columns = [paths.tolist(), parent_paths.tolist()]
+    columns += [getattr(tree, name).tolist() for name in ("b", "zeta", "xi", "tau", "d")]
+    row = b"%s,%s" + b",%.10g" * 5
+    return b"id_path,parent_path,b,zeta,xi,tau,d\n" + b"".join([row % r + b"\n" for r in zip(*columns)])
+
+
+@given(any_config(), st.integers(0, 2**31 - 1), st.integers(0, 2**20))
+@settings(deadline=None, max_examples=30)
+def test_tree_dump_equals_the_stored_tree_byte_for_byte(tmp_path_factory, cfg, seed, stream):
+    # the export streams the generations; every byte is the stored tree's
+    out = tmp_path_factory.mktemp("dump") / "tree.csv"
+    with mock.patch.object(cli, "_sim_config", return_value=cfg):
+        assert main(["tree-dump", "--seed", str(seed), "--stream", str(stream), "--out", str(out)]) == 0
+    assert out.read_bytes() == dump_of_stored_tree(cfg, RngStream(seed, stream))
+
+
+THINNING = ["--set", "division.mode=unit_time", "--set", "split=asym:0.1", "--set", "kernel=ar:0.5"]
+
+
+def test_tree_dump_holds_generations_not_tree(tmp_path):
+    # the export holds one generation's columns and paths and one block of
+    # rows, never the tree: its peak allocation is bounded by bytes per
+    # cell of the largest generation, plus 1024 formatted rows of ~160 B,
+    # plus a fixed allowance, a bound fixed from that accounting; exporting
+    # the stored tree of this bench tree (44 151 cells) peaks above 8 MiB
+    out = tmp_path / "tree.csv"
+    argv = ["tree-dump", "--alpha", "0.3", "--horizon", "10", "--seed", "1", "--stream", "0", *THINNING, "--out", str(out)]
+    assert main(argv) == 0  # warm-up: scipy.special is imported untraced
+    depths = np.bincount([len(line.partition(b",")[0]) for line in out.read_bytes().splitlines()[1:]])
+    bound = 400 * int(depths.max()) + 1024 * 160 + (256 << 10)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_failed_tree_dump_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
+    # rows are written as the generations are drawn; a failure on a later
+    # generation removes them, as a failure before any write leaves no file
+    sizes, calls = size_sim._division_sizes, []
+
+    def fail_on_third(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        return sizes(*args)
+
+    monkeypatch.setattr("malthus.size_sim._division_sizes", fail_on_third)
+    out = tmp_path / "tree.csv"
+    assert main(["tree-dump", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+    assert not out.exists()
 
 
 def test_estimator_compare_output(tmp_path):
